@@ -13,20 +13,20 @@ failure.
 import argparse
 import csv
 import io
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import (DOMAINS, DomainConfig, FormatError, dataset_load,
-                   dataset_meta, dataset_save, gen_dataset, pgm_write)
+from .container import FormatError, sniff
+from .data import (DOMAINS, dataset_load, dataset_meta, dataset_save,
+                   gen_dataset, pgm_write)
 from .diffcore import NonFiniteError
 from .ncvi import Hyperpriors
 from .pipeline import (Model, ModelConfig, VERSION_TOGGLES, checkpoint_load,
-                       config_for_version, evaluate, fit, forward)
+                       config_for_version, config_items, evaluate, fit,
+                       forward)
 
 
 class ConfigError(ValueError):
@@ -35,33 +35,44 @@ class ConfigError(ValueError):
 
 # -- configuration ---------------------------------------------------------------
 
-_MODEL_KEYS = {f.name: f.type for f in fields(ModelConfig)}
-_HP_KEYS = {f"hp.{f.name}" for f in fields(Hyperpriors)}
-_EXTRA_KEYS = {"domain", "n", "val_frac", "run"}
-_ALLOWED_KEYS = set(_MODEL_KEYS) | _HP_KEYS | _EXTRA_KEYS
-
 _DEFAULT_EXTRAS = {"domain": "A", "n": 200, "val_frac": 0.2, "run": "run"}
 
 
+def default_config() -> dict:
+    return {**config_items(ModelConfig(), Hyperpriors()), **_DEFAULT_EXTRAS}
+
+
+_ALLOWED_KEYS = set(default_config())
+
+
 def _parse_value(key: str, raw: str):
+    """Parse ``raw`` as the type of the key's default value."""
     raw = raw.strip()
+    default = default_config()[key]
     try:
-        if key == "image_size":
-            h, _, w = raw.partition("x")
-            return (int(h), int(w))
-        if key in ("domain", "run"):
-            return raw
-        if key in _HP_KEYS or key in ("sde_horizon", "tau", "lambda_bayes",
-                                      "learning_rate", "weight_decay",
-                                      "early_stop_dice", "val_frac"):
-            return float(raw)
-        if key in ("nf_posterior", "ncvi", "sde_girsanov", "augment"):
+        if isinstance(default, bool):
             if raw not in ("true", "false"):
                 raise ValueError(f"expected true/false, got {raw!r}")
             return raw == "true"
-        return int(raw)
+        if isinstance(default, tuple):
+            h, _, w = raw.partition("x")
+            return (int(h), int(w))
+        if isinstance(default, str):
+            return raw
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+
+def _parse_setting(text: str, where: str) -> tuple[str, object]:
+    """Split and parse one ``key = value`` setting; errors name ``where``."""
+    key, eq, raw = text.partition("=")
+    key = key.strip()
+    if not eq or not key:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    if key not in _ALLOWED_KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, _parse_value(key, raw)
 
 
 def _format_value(value) -> str:
@@ -74,30 +85,15 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def default_config() -> dict:
-    cfg = {f.name: getattr(ModelConfig(), f.name) for f in fields(ModelConfig)}
-    hp = Hyperpriors()
-    cfg.update({f"hp.{f.name}": getattr(hp, f.name) for f in fields(Hyperpriors)})
-    cfg.update(_DEFAULT_EXTRAS)
-    return cfg
-
-
 def read_config_file(path: str | Path) -> dict:
     """Parse ``key = value`` lines; unknown keys name the offending line."""
     out = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        key, eq, raw = stripped.partition("=")
-        key = key.strip()
-        if not eq or not key:
-            raise ConfigError(
-                f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-        if key not in _ALLOWED_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _parse_value(key, raw)
+        if stripped:
+            key, value = _parse_setting(stripped, f"{path}:{lineno}")
+            out[key] = value
     return out
 
 
@@ -116,11 +112,8 @@ def effective_config(args) -> tuple[dict, set]:
         cfg.update(file_vals)
         explicit |= set(file_vals)
     for setting in getattr(args, "set", None) or []:
-        key, eq, raw = setting.partition("=")
-        key = key.strip()
-        if not eq or key not in _ALLOWED_KEYS:
-            raise ConfigError(f"--set: unknown or malformed setting {setting!r}")
-        cfg[key] = _parse_value(key, raw)
+        key, value = _parse_setting(setting, "--set")
+        cfg[key] = value
         explicit.add(key)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
@@ -129,7 +122,7 @@ def effective_config(args) -> tuple[dict, set]:
 
 
 def model_config_from(cfg: dict) -> ModelConfig:
-    kwargs = {name: cfg[name] for name in _MODEL_KEYS}
+    kwargs = {f.name: cfg[f.name] for f in fields(ModelConfig)}
     try:
         return ModelConfig(**kwargs)
     except ValueError as exc:
@@ -137,7 +130,7 @@ def model_config_from(cfg: dict) -> ModelConfig:
 
 
 def hyperpriors_from(cfg: dict) -> Hyperpriors:
-    return Hyperpriors(**{key[3:]: cfg[key] for key in _HP_KEYS})
+    return Hyperpriors(**{f.name: cfg[f"hp.{f.name}"] for f in fields(Hyperpriors)})
 
 
 def write_config_echo(cfg: dict, path: Path) -> None:
@@ -153,17 +146,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerow([f"{v:.10g}" if isinstance(v, float) else v
                          for v in row])
     path.write_text(buf.getvalue())
-
-
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("DBF_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"DBF_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"DBF_THREADS must be >= 1, got {cap}")
-    return max(1, min(n_tasks, cap))
 
 
 def _load_dataset(path: str | Path):
@@ -281,7 +263,7 @@ def cmd_train(args) -> int:
 
 
 def _eval_datasets(model: Model, paths: list[str]) -> list[float]:
-    """Mean Dice per dataset, fanned out over DBF_THREADS workers."""
+    """Mean Dice per dataset."""
     loaded = []
     for path in paths:
         meta = dataset_meta(path)
@@ -294,11 +276,7 @@ def _eval_datasets(model: Model, paths: list[str]) -> list[float]:
                 f"{path}: dataset is {meta[1:3]} but checkpoint expects "
                 f"{tuple(model.cfg.image_size)}")
         loaded.append(_load_dataset(path))
-    workers = _worker_count(len(loaded))
-    if workers == 1:
-        return [evaluate(samples, model) for samples in loaded]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: evaluate(s, model), loaded))
+    return [evaluate(samples, model) for samples in loaded]
 
 
 def cmd_eval(args) -> int:
@@ -352,13 +330,7 @@ def cmd_ablate(args) -> int:
     for version in sorted(VERSION_TOGGLES):
         ver_cfg = config_for_version(base_cfg, version)
         model, _ = fit(train_samples, val_samples, ver_cfg, hp=hp)
-        workers = _worker_count(len(eval_sets))
-        if workers == 1:
-            dices = [evaluate(s, model) for _, s in eval_sets]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                dices = list(pool.map(lambda kv: evaluate(kv[1], model),
-                                      eval_sets))
+        dices = [evaluate(s, model) for _, s in eval_sets]
         avg_targets = float(np.mean(dices[1:]))
         nf, ncvi, sde = VERSION_TOGGLES[version]
         rows.append([version, nf, ncvi, sde] + dices + [avg_targets])
@@ -418,28 +390,24 @@ def cmd_inspect(args) -> int:
     path = Path(args.path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    magic = path.read_bytes()[:4]
-    if magic == b"DBFD":
+    kind = sniff(path)
+    if kind == "dataset":
         n, h, w, k = dataset_meta(path)
         dataset_load(path)  # full checksum validation
         print(f"kind: dataset\nsamples: {n}\nheight: {h}\nwidth: {w}\n"
               f"classes: {k}\nbytes: {path.stat().st_size}\nchecksum: ok")
         return 0
-    if magic == b"DBFC":
-        model, opt_state, epoch = checkpoint_load(path)
-        named = model.named_params()
-        print("kind: checkpoint")
-        print(f"epoch: {epoch}")
-        print(f"tensors: {len(named)}")
-        print(f"parameters: {sum(p.data.size for _, p in named)}")
-        print(f"optimizer_state: {'yes' if opt_state is not None else 'no'}")
-        for key in ("num_classes", "image_size", "nf_posterior", "ncvi",
-                    "sde_girsanov", "channels", "seed"):
-            print(f"{key}: {_format_value(getattr(model.cfg, key))}")
-        return 0
-    raise FormatError(
-        f"unrecognized magic {magic!r}; expected DBFD (dataset) or "
-        f"DBFC (checkpoint)")
+    model, opt_state, epoch = checkpoint_load(path)
+    named = model.named_params()
+    print("kind: checkpoint")
+    print(f"epoch: {epoch}")
+    print(f"tensors: {len(named)}")
+    print(f"parameters: {sum(p.data.size for _, p in named)}")
+    print(f"optimizer_state: {'yes' if opt_state is not None else 'no'}")
+    for key in ("num_classes", "image_size", "nf_posterior", "ncvi",
+                "sde_girsanov", "channels", "seed"):
+        print(f"{key}: {_format_value(getattr(model.cfg, key))}")
+    return 0
 
 
 # -- parser ------------------------------------------------------------------------

@@ -7,17 +7,14 @@ additive Gaussian noise. Training on the mild domain and evaluating on the
 harsh one exhibits a real performance gap, which the ablation harness needs.
 """
 
-import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-
-class FormatError(ValueError):
-    """A binary file failed magic, version, length, or checksum validation."""
+from .container import (DATASET_MAGIC, FormatError, Writer, atomic_write,
+                        read_head, unseal)
 
 
 # -- types ---------------------------------------------------------------------
@@ -197,13 +194,6 @@ def affine_warp(arr: np.ndarray, angle_deg: float,
     return out.astype(arr.dtype) if order == 0 else out
 
 
-def invert_affine(angle_deg: float,
-                  translate: tuple[float, float]) -> tuple[float, tuple[float, float]]:
-    """Parameters (angle', t') such that warping twice is the identity map."""
-    t_inv = -_rot_matrix(-angle_deg) @ np.asarray(translate, dtype=float)
-    return -angle_deg, (float(t_inv[0]), float(t_inv[1]))
-
-
 def _elastic_displacement(h: int, w: int, cfg: AugmentConfig,
                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     g = cfg.elastic_grid
@@ -274,14 +264,16 @@ def dice_score(pred: np.ndarray, gt: np.ndarray, k: int = 1) -> float:
 
 # -- persistence --------------------------------------------------------------------
 
-_DATASET_MAGIC = b"DBFD"
-_DATASET_VERSION = 1
-_HEADER = struct.Struct("<4sHIHHB")  # magic, version, n, H, W, K
+_HEAD = "<IHHB"  # n, H, W, K
+
+
+def _payload_size(n: int, h: int, w: int, k: int) -> int:
+    return n * (h * w * 9)  # f64 image + u8 mask per sample
 
 
 def dataset_save(samples: list[Sample], path: str | Path,
                  num_classes: int | None = None) -> None:
-    """Write magic + header + per-sample f64 image / u8 mask + CRC32 trailer."""
+    """Write the header and per-sample f64 image / u8 mask in a sealed file."""
     if not samples:
         raise ValueError("refusing to save an empty dataset")
     h, w = samples[0].image.shape
@@ -292,51 +284,28 @@ def dataset_save(samples: list[Sample], path: str | Path,
     if max_label >= k:
         raise ValueError(f"mask label {max_label} >= num_classes {k}")
 
-    buf = bytearray(_HEADER.pack(_DATASET_MAGIC, _DATASET_VERSION,
-                                 len(samples), h, w, k))
+    out = Writer(DATASET_MAGIC)
+    out.put(_HEAD, len(samples), h, w, k)
     for s in samples:
         if s.image.shape != (h, w) or s.mask.shape != (h, w):
             raise ValueError(
                 f"inconsistent sample shape: {s.image.shape} vs {(h, w)}")
-        buf += np.ascontiguousarray(s.image, dtype="<f8").tobytes()
-        buf += np.ascontiguousarray(s.mask, dtype=np.uint8).tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    Path(path).write_bytes(bytes(buf))
+        out.put_bytes(np.ascontiguousarray(s.image, dtype="<f8"))
+        out.put_bytes(np.ascontiguousarray(s.mask, dtype=np.uint8))
+    atomic_write(path, out.seal())
 
 
 def dataset_load(path: str | Path) -> list[Sample]:
     """Inverse of dataset_save with full validation."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size + 4:
-        raise FormatError(f"file too short ({len(raw)} bytes): {path}")
-    magic, version, n, h, w, k = _HEADER.unpack_from(raw)
-    if magic != _DATASET_MAGIC:
-        raise FormatError(
-            f"bad magic: expected {_DATASET_MAGIC!r}, found {magic!r}")
-    if version != _DATASET_VERSION:
-        raise FormatError(
-            f"unsupported version: expected {_DATASET_VERSION}, found {version}")
-    expected = _HEADER.size + n * (h * w * 9) + 4
-    if len(raw) != expected:
-        raise FormatError(
-            f"truncated or oversized file: expected {expected} bytes, "
-            f"found {len(raw)}")
-    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    actual_crc = zlib.crc32(raw[:-4])
-    if stored_crc != actual_crc:
-        raise FormatError(
-            f"checksum mismatch: stored {stored_crc:#010x}, "
-            f"computed {actual_crc:#010x}")
-
+    body = unseal(Path(path).read_bytes(), DATASET_MAGIC, path, _HEAD,
+                  _payload_size)
+    n, h, w, k = body.take(_HEAD)
     samples = []
-    offset = _HEADER.size
     for _ in range(n):
-        img = np.frombuffer(raw, dtype="<f8", count=h * w,
-                            offset=offset).reshape(h, w).copy()
-        offset += h * w * 8
-        mask = np.frombuffer(raw, dtype=np.uint8, count=h * w,
-                             offset=offset).reshape(h, w).astype(np.int64)
-        offset += h * w
+        img = np.frombuffer(body.take_bytes(h * w * 8),
+                            dtype="<f8").reshape(h, w).copy()
+        mask = np.frombuffer(body.take_bytes(h * w),
+                             dtype=np.uint8).reshape(h, w).astype(np.int64)
         if mask.max(initial=0) >= k:
             raise FormatError(f"mask label {mask.max()} >= declared K {k}")
         samples.append(Sample(image=img, mask=mask))
@@ -345,18 +314,7 @@ def dataset_load(path: str | Path) -> list[Sample]:
 
 def dataset_meta(path: str | Path) -> tuple[int, int, int, int]:
     """Header fields (n, H, W, K) without loading sample payloads."""
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-    if len(head) < _HEADER.size:
-        raise FormatError(f"file too short ({len(head)} bytes): {path}")
-    magic, version, n, h, w, k = _HEADER.unpack(head)
-    if magic != _DATASET_MAGIC:
-        raise FormatError(
-            f"bad magic: expected {_DATASET_MAGIC!r}, found {magic!r}")
-    if version != _DATASET_VERSION:
-        raise FormatError(
-            f"unsupported version: expected {_DATASET_VERSION}, found {version}")
-    return n, h, w, k
+    return read_head(path, DATASET_MAGIC, _HEAD)
 
 
 def pgm_write(arr: np.ndarray, path: str | Path) -> None:

@@ -10,6 +10,7 @@ always be replayed.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -360,10 +361,14 @@ class Tensor:
         return Tensor._from_op(res, (self,), backward)
 
 
+# The gradient table of the backward walk in progress, one per thread.
+_walk = threading.local()
+
+
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros(t.data.shape)
-    t.grad += g
+    """Add g to the pending gradient of t in this thread's backward walk."""
+    grads = _walk.grads
+    grads[id(t)] = grads.get(id(t), 0.0) + g
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -461,19 +466,13 @@ def backward(loss: Tensor) -> None:
     backward closure runs.  Leaf gradients accumulate additively across
     calls until zero_grad.
     """
-    global _accumulate
     if loss.data.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("backward: root does not require grad")
     order = trace(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.data.shape)}
-
-    def sink(t: Tensor, g: np.ndarray) -> None:
-        grads[id(t)] = grads.get(id(t), 0.0) + g
-
-    saved = _accumulate
-    _accumulate = sink  # type: ignore[assignment]
+    outer, _walk.grads = getattr(_walk, "grads", None), grads
     try:
         for node in reversed(order):
             g = grads.pop(id(node), None)
@@ -482,9 +481,11 @@ def backward(loss: Tensor) -> None:
             if node._backward is not None:
                 node._backward(g)
             elif node.requires_grad:
-                saved(node, g)
+                if node.grad is None:
+                    node.grad = np.zeros(node.data.shape)
+                node.grad += g
     finally:
-        _accumulate = saved
+        _walk.grads = outer
 
 
 def zero_grad(tensors: Iterable[Tensor]) -> None:

@@ -10,14 +10,12 @@ plain axis reduction, so unbatched fields work unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diffcore import DomainError, Tensor
 from .flows import FlowStack, base_log_density, flow_sample
-
-LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -168,12 +166,6 @@ def gaussian_kl_closed(mu: Tensor, log_var: Tensor) -> Tensor:
     return ((mu.square() + log_var.exp() - log_var - 1.0) * 0.5).sum()
 
 
-def gaussian_log_density(z: Tensor, mu: Tensor, log_var: Tensor) -> Tensor:
-    """Elementwise diagonal Gaussian log density, summed."""
-    diff = z - mu
-    return ((diff.square() * (-log_var).exp() + log_var + LOG_TWO_PI) * -0.5).sum()
-
-
 def mc_kl(stack: FlowStack, n_samples: int, rng: np.random.Generator) -> Tensor:
     """Monte Carlo estimate of KL[q_flow || N(0, I)], differentiable.
 
@@ -183,8 +175,3 @@ def mc_kl(stack: FlowStack, n_samples: int, rng: np.random.Generator) -> Tensor:
     z, logq = flow_sample(stack, n_samples, rng)
     logp = base_log_density(z)
     return (logq - logp).mean()
-
-
-def elbo(expected_loglik: float, kl: float) -> float:
-    """Evidence lower bound: expected log-likelihood minus KL."""
-    return float(expected_loglik) - float(kl)

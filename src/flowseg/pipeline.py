@@ -10,15 +10,15 @@ KL penalties of the training loss.
 """
 
 import math
-import struct
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import FormatError, Sample, augment, dice_score
+from .container import (CHECKPOINT_MAGIC, FormatError, Reader, Writer,
+                        atomic_write, unseal)
+from .data import Sample, augment, dice_score
 from .diffcore import (NonFiniteError, ShapeError, Tensor, backward, concat,
                        conv2d, zero_grad)
 from .flows import FlowStack, flow_push
@@ -86,6 +86,13 @@ def config_for_version(cfg: ModelConfig, version: str) -> ModelConfig:
             f"unknown version {version!r}; expected one of {sorted(VERSION_TOGGLES)}")
     nf, ncvi, sde = VERSION_TOGGLES[version]
     return replace(cfg, nf_posterior=nf, ncvi=ncvi, sde_girsanov=sde)
+
+
+def config_items(cfg: ModelConfig, hp: Hyperpriors) -> dict:
+    """Every config and hyperprior field by name; hyperpriors take an ``hp.`` prefix."""
+    items = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    items.update({f"hp.{f.name}": getattr(hp, f.name) for f in fields(hp)})
+    return items
 
 
 # -- parameterized blocks --------------------------------------------------------
@@ -413,11 +420,15 @@ class Adam:
                 "v": {k: v.copy() for k, v in self.v.items()}}
 
     def load_state(self, state: dict) -> None:
+        """Restore step count and moments; every parameter needs both moments."""
+        missing = [name for name, _ in self.named
+                   if name not in state["m"] or name not in state["v"]]
+        if missing:
+            raise FormatError(f"optimizer state is missing moments for: {missing}")
         self.t = int(state["t"])
         for name, _ in self.named:
-            if name in state["m"]:
-                self.m[name] = state["m"][name].copy()
-                self.v[name] = state["v"][name].copy()
+            self.m[name] = state["m"][name].copy()
+            self.v[name] = state["v"][name].copy()
 
 
 # -- training -----------------------------------------------------------------------
@@ -599,77 +610,41 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
 
 # -- checkpoints ------------------------------------------------------------------------
 
-_CKPT_MAGIC = b"DBFC"
-_CKPT_VERSION = 1
 _TAG_INT, _TAG_FLOAT, _TAG_BOOL, _TAG_PAIR = 0, 1, 2, 3
 
 
-class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.raw):
-            raise FormatError(
-                f"truncated checkpoint: wanted {size} bytes at offset "
-                f"{self.pos}, have {len(self.raw) - self.pos}")
-        vals = struct.unpack_from(fmt, self.raw, self.pos)
-        self.pos += size
-        return vals if len(vals) > 1 else vals[0]
-
-    def take_bytes(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise FormatError(
-                f"truncated checkpoint: wanted {n} bytes at offset "
-                f"{self.pos}, have {len(self.raw) - self.pos}")
-        out = self.raw[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-
-def _config_items(cfg: ModelConfig, hp: Hyperpriors) -> dict:
-    items = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    items.update({f"hp.{f.name}": getattr(hp, f.name) for f in fields(hp)})
-    return items
-
-
-def _pack_config(cfg: ModelConfig, hp: Hyperpriors) -> bytes:
-    items = _config_items(cfg, hp)
-    buf = bytearray(struct.pack("<H", len(items)))
+def _pack_config(out: Writer, cfg: ModelConfig, hp: Hyperpriors) -> None:
+    items = config_items(cfg, hp)
+    out.put("<H", len(items))
     for name in sorted(items):
         value = items[name]
-        encoded = name.encode("utf-8")
-        buf += struct.pack("<H", len(encoded)) + encoded
+        out.put_str(name)
         if isinstance(value, bool):
-            buf += struct.pack("<BB", _TAG_BOOL, int(value))
+            out.put("<BB", _TAG_BOOL, int(value))
         elif isinstance(value, int):
-            buf += struct.pack("<Bq", _TAG_INT, value)
+            out.put("<Bq", _TAG_INT, value)
         elif isinstance(value, float):
-            buf += struct.pack("<Bd", _TAG_FLOAT, value)
+            out.put("<Bd", _TAG_FLOAT, value)
         elif isinstance(value, tuple) and len(value) == 2:
-            buf += struct.pack("<Bqq", _TAG_PAIR, int(value[0]), int(value[1]))
+            out.put("<Bqq", _TAG_PAIR, int(value[0]), int(value[1]))
         else:
             raise ValueError(f"cannot serialize config field {name}={value!r}")
-    return bytes(buf)
 
 
-def _unpack_config(reader: _Reader) -> tuple[ModelConfig, Hyperpriors]:
-    count = reader.take("<H")
+def _unpack_config(body: Reader) -> tuple[ModelConfig, Hyperpriors]:
+    (count,) = body.take("<H")
     items = {}
     for _ in range(count):
-        name_len = reader.take("<H")
-        name = reader.take_bytes(name_len).decode("utf-8")
-        tag = reader.take("<B")
+        name = body.take_str()
+        (tag,) = body.take("<B")
         if tag == _TAG_BOOL:
-            items[name] = bool(reader.take("<B"))
+            items[name] = bool(body.take("<B")[0])
         elif tag == _TAG_INT:
-            items[name] = int(reader.take("<q"))
+            items[name] = int(body.take("<q")[0])
         elif tag == _TAG_FLOAT:
-            items[name] = float(reader.take("<d"))
+            items[name] = float(body.take("<d")[0])
         elif tag == _TAG_PAIR:
-            items[name] = tuple(reader.take("<qq"))
+            items[name] = body.take("<qq")
         else:
             raise FormatError(f"unknown config field tag {tag} for {name!r}")
     cfg_kwargs = {k: v for k, v in items.items() if not k.startswith("hp.")}
@@ -680,28 +655,25 @@ def _unpack_config(reader: _Reader) -> tuple[ModelConfig, Hyperpriors]:
         raise FormatError(f"config block does not match this build: {exc}") from exc
 
 
-def _pack_section(name: str, arr: np.ndarray) -> bytes:
-    encoded = name.encode("utf-8")
+def _pack_section(out: Writer, name: str, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr, dtype="<f8")
-    buf = struct.pack("<H", len(encoded)) + encoded
-    buf += struct.pack("<B", arr.ndim)
-    buf += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-    return buf + arr.tobytes()
+    out.put_str(name)
+    out.put(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+    out.put_bytes(arr)
 
 
-def _unpack_section(reader: _Reader) -> tuple[str, np.ndarray]:
-    name_len = reader.take("<H")
-    name = reader.take_bytes(name_len).decode("utf-8")
-    ndim = reader.take("<B")
-    shape = tuple(struct.unpack("<" + "I" * ndim, reader.take_bytes(4 * ndim)))
+def _unpack_section(body: Reader) -> tuple[str, np.ndarray]:
+    name = body.take_str()
+    (ndim,) = body.take("<B")
+    shape = body.take(f"<{ndim}I")
     count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(reader.take_bytes(count * 8), dtype="<f8")
+    data = np.frombuffer(body.take_bytes(count * 8), dtype="<f8")
     return name, data.reshape(shape).copy()
 
 
 def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
                     epoch: int = 0) -> None:
-    """Self-describing snapshot: config block, named f64 sections, CRC32."""
+    """Self-describing snapshot: config block and named f64 sections, sealed."""
     sections: list[tuple[str, np.ndarray]] = list(
         (name, p.data) for name, p in model.named_params())
     if opt is not None:
@@ -711,50 +683,30 @@ def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
         sections.append(("opt.t", np.array(float(opt.t))))
     sections.append(("epoch", np.array(float(epoch))))
 
-    buf = bytearray(_CKPT_MAGIC)
-    buf += struct.pack("<H", _CKPT_VERSION)
-    buf += _pack_config(model.cfg, model.hp)
-    buf += struct.pack("<I", len(sections))
+    out = Writer(CHECKPOINT_MAGIC)
+    _pack_config(out, model.cfg, model.hp)
+    out.put("<I", len(sections))
     for name, arr in sections:
-        buf += _pack_section(name, arr)
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    Path(path).write_bytes(bytes(buf))
+        _pack_section(out, name, arr)
+    atomic_write(path, out.seal())
 
 
 def checkpoint_load(path: str | Path, expect_num_classes: int | None = None
                     ) -> tuple[Model, dict | None, int]:
     """Rebuild (model, optimizer state, epoch) from a checkpoint file."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(_CKPT_MAGIC) + 2 + 4:
-        raise FormatError(f"file too short ({len(raw)} bytes): {path}")
-    if raw[:4] != _CKPT_MAGIC:
-        raise FormatError(
-            f"bad magic: expected {_CKPT_MAGIC!r}, found {raw[:4]!r}")
-    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    actual_crc = zlib.crc32(raw[:-4])
-    if stored_crc != actual_crc:
-        raise FormatError(
-            f"checksum mismatch: stored {stored_crc:#010x}, "
-            f"computed {actual_crc:#010x}")
-    reader = _Reader(raw[:-4])
-    reader.take_bytes(4)
-    version = reader.take("<H")
-    if version != _CKPT_VERSION:
-        raise FormatError(
-            f"unsupported version: expected {_CKPT_VERSION}, found {version}")
-    cfg, hp = _unpack_config(reader)
+    body = unseal(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
+    cfg, hp = _unpack_config(body)
     if expect_num_classes is not None and cfg.num_classes != expect_num_classes:
         raise FormatError(
             f"checkpoint has num_classes={cfg.num_classes}, "
             f"expected {expect_num_classes}")
-    n_sections = reader.take("<I")
+    (n_sections,) = body.take("<I")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_sections):
-        name, arr = _unpack_section(reader)
+        name, arr = _unpack_section(body)
         arrays[name] = arr
-    if reader.pos != len(reader.raw):
-        raise FormatError(
-            f"{len(reader.raw) - reader.pos} trailing bytes after sections")
+    if body.remaining:
+        raise FormatError(f"{body.remaining} trailing bytes after sections")
 
     model = Model(cfg, hp=hp)
     names = [name for name, _ in model.named_params()]

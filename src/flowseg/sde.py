@@ -11,7 +11,7 @@ enter the loss only as importance factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class DiffusionPath:
     increments: list[np.ndarray]
     dt: float
     drifted: bool = True
-    log_rn_weight: float = 0.0
 
     @property
     def terminal(self) -> Tensor:
@@ -96,36 +95,12 @@ def girsanov_log_weight_field(path: DiffusionPath, params: OuParams) -> np.ndarr
     return total
 
 
-def girsanov_log_weight(path: DiffusionPath, params: OuParams) -> float:
-    """Total log RN weight of the drifted law relative to the driftless one."""
-    return float(girsanov_log_weight_field(path, params).sum())
-
-
-def sde_girsanov_sample(params: OuParams, rng: np.random.Generator) -> tuple[Tensor, float]:
-    """Draw Z_T starting from z0 ~ N(0, I); returns (Z_T, total log weight)."""
-    z0 = Tensor(rng.standard_normal(params.mu.shape))
-    path = euler_maruyama(params, z0, rng)
-    path.log_rn_weight = girsanov_log_weight(path, params)
-    return path.terminal, path.log_rn_weight
-
-
 def sde_girsanov_sample_field(params: OuParams, rng: np.random.Generator
                               ) -> tuple[Tensor, np.ndarray]:
-    """Like sde_girsanov_sample but keeps the per-element weight field."""
+    """Draw Z_T starting from z0 ~ N(0, I); returns (Z_T, per-element log weight)."""
     z0 = Tensor(rng.standard_normal(params.mu.shape))
     path = euler_maruyama(params, z0, rng)
     return path.terminal, girsanov_log_weight_field(path, params)
-
-
-def replay(path: DiffusionPath, params: OuParams) -> np.ndarray:
-    """Recompute the terminal state from the recorded increments."""
-    z = path.states[0].data
-    for eps in path.increments:
-        step = params.sigma.data * eps
-        if path.drifted:
-            step = (params.mu.data - z) * path.dt + step
-        z = z + step
-    return z
 
 
 def ou_analytic_moments(params: OuParams, z0, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,5 @@
-"""Spatial field operators: Laplacian, gradient energy, Gumbel-Softmax,
-and the Dice + cross-entropy segmentation loss.
+"""Spatial field operators: gradient energy, Gumbel-Softmax, and the
+Dice + cross-entropy segmentation loss.
 
 Fields follow the (..., K, H, W) convention with the class axis third from
 last; a missing batch axis is fine.  All operators are built from the
@@ -10,24 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffcore import Tensor, concat, conv2d
-
-LAPLACIAN_KERNEL = np.array([[0.0, 1.0, 0.0],
-                             [1.0, -4.0, 1.0],
-                             [0.0, 1.0, 0.0]])
+from .diffcore import Tensor, concat
 
 _CE_CLAMP = 1e-12
 _DICE_EPS = 1e-6
-
-
-def laplacian(f: Tensor) -> Tensor:
-    """Five-point Laplacian with zero padding, applied per channel."""
-    if f.ndim < 2:
-        raise ValueError(f"laplacian expects at least 2 dims, got {f.shape}")
-    h, w = f.shape[-2], f.shape[-1]
-    flat = f.reshape((-1, 1, h, w))
-    kernel = Tensor(LAPLACIAN_KERNEL.reshape(1, 1, 3, 3))
-    return conv2d(flat, kernel).reshape(f.shape)
 
 
 def grad_sqnorm(f: Tensor) -> Tensor:
@@ -84,11 +70,6 @@ def dice_ce_loss_per_item(pred: Tensor, target: Tensor) -> Tensor:
     denom = pred.sum(axis=(2, 3)) + target.sum(axis=(2, 3))
     dice_k = (inter * 2.0 + _DICE_EPS) / (denom + _DICE_EPS)
     return ce + (1.0 - dice_k.mean(axis=1))
-
-
-def dice_ce_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Batch mean of the per-item Dice + cross-entropy loss."""
-    return dice_ce_loss_per_item(pred, target).mean()
 
 
 def total_loss(recon: Tensor, kls, lam: float, n: int) -> Tensor:

@@ -144,6 +144,27 @@ def test_parse_value_types():
         cli._parse_value("epochs", "two")
 
 
+def test_every_config_key_round_trips_through_echo(tmp_path):
+    # Defaults, then a second value of the same type for every key.
+    def other(value):
+        if isinstance(value, bool):
+            return not value
+        if isinstance(value, tuple):
+            return (value[0] + 4, value[1] + 8)
+        if isinstance(value, str):
+            return value + "x"
+        return value + 3 if isinstance(value, int) else value * 1.5 + 0.1
+
+    defaults = cli.default_config()
+    for cfg in (defaults, {k: other(v) for k, v in defaults.items()}):
+        path = tmp_path / "echo.cfg"
+        cli.write_config_echo(cfg, path)
+        back = cli.read_config_file(path)
+        assert back == cfg
+        assert {k: type(v) for k, v in back.items()} == \
+            {k: type(v) for k, v in cfg.items()}
+
+
 # -- train -------------------------------------------------------------------------
 
 
@@ -245,24 +266,6 @@ def test_eval_corrupt_checkpoint_is_io_error(work, tmp_path):
     code = cli.main(["eval", "--ckpt", str(bad),
                      "--out", str(tmp_path / "e.csv"), str(work["c"])])
     assert code == 3
-
-
-def test_eval_deterministic_across_workers(work, tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
-    monkeypatch.setenv("DBF_THREADS", "1")
-    assert cli.main(["eval", "--ckpt", str(work["ckpt"]), "--out", str(out1),
-                     str(work["c"]), str(work["d"])]) == 0
-    monkeypatch.setenv("DBF_THREADS", "3")
-    assert cli.main(["eval", "--ckpt", str(work["ckpt"]), "--out", str(out2),
-                     str(work["c"]), str(work["d"])]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_bad_thread_env(work, tmp_path, monkeypatch):
-    monkeypatch.setenv("DBF_THREADS", "many")
-    code = cli.main(["eval", "--ckpt", str(work["ckpt"]),
-                     "--out", str(tmp_path / "e.csv"), str(work["c"])])
-    assert code == 2
 
 
 # -- ablate ------------------------------------------------------------------------

@@ -9,7 +9,15 @@ import pytest
 from flowseg.data import (DOMAINS, AugmentConfig, BlobConfig, DomainConfig,
                           FormatError, Sample, affine_warp, augment,
                           dataset_load, dataset_meta, dataset_save, dice_score,
-                          gen_dataset, invert_affine, pgm_write, zscore)
+                          gen_dataset, pgm_write, zscore)
+
+
+def invert_affine(angle_deg, translate):
+    """Parameters (angle', t') such that warping twice is the identity map."""
+    a = np.deg2rad(angle_deg)
+    rot_back = np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
+    t_inv = -rot_back @ np.asarray(translate, dtype=float)
+    return -angle_deg, (float(t_inv[0]), float(t_inv[1]))
 
 
 def _clean_domain(**overrides):

@@ -1,5 +1,8 @@
 """Tests for the reverse-mode autodiff core."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,49 @@ def test_conv2d_identity_kernel():
         w[c, c, 1, 1] = 1.0
     out = conv2d(Tensor(x), Tensor(w))
     np.testing.assert_allclose(out.data, x, atol=1e-14)
+
+
+# The five-point Laplacian stencil: a symmetric kernel with distinct centre,
+# edge and corner weights, checked against hand-written stencil values.
+FIVE_POINT = np.array([[0.0, 1.0, 0.0],
+                       [1.0, -4.0, 1.0],
+                       [0.0, 1.0, 0.0]]).reshape(1, 1, 3, 3)
+
+
+def test_conv2d_five_point_center_impulse_reproduces_stencil():
+    f = np.zeros((1, 1, 3, 3))
+    f[0, 0, 1, 1] = 1.0
+    out = conv2d(Tensor(f), Tensor(FIVE_POINT))
+    np.testing.assert_allclose(out.data[0, 0], FIVE_POINT[0, 0], atol=1e-14)
+
+
+def test_conv2d_five_point_constant_field_zero_pad_boundary():
+    c = 3.0
+    out = conv2d(Tensor(np.full((1, 1, 5, 5), c)), Tensor(FIVE_POINT)).data[0, 0]
+    np.testing.assert_allclose(out[1:-1, 1:-1], 0.0, atol=1e-12)
+    assert out[0, 0] == pytest.approx(-2 * c)       # corner: two inside neighbors
+    assert out[0, 2] == pytest.approx(-c)           # edge: three inside neighbors
+
+
+def test_conv2d_five_point_matches_scalar_stencil_loop():
+    rng = np.random.default_rng(0)
+    f = rng.normal(size=(2, 1, 6, 7))
+    out = conv2d(Tensor(f), Tensor(FIVE_POINT)).data
+    padded = np.pad(f[:, 0], ((0, 0), (1, 1), (1, 1)))
+    for b in range(2):
+        for i in range(6):
+            for j in range(7):
+                expect = (padded[b, i, j + 1] + padded[b, i + 2, j + 1]
+                          + padded[b, i + 1, j] + padded[b, i + 1, j + 2]
+                          - 4 * padded[b, i + 1, j + 1])
+                assert out[b, 0, i, j] == pytest.approx(expect, abs=1e-12)
+
+
+def test_conv2d_five_point_is_differentiable():
+    rng = np.random.default_rng(1)
+    err = grad_check(lambda t: conv2d(t, Tensor(FIVE_POINT)).square().sum(),
+                     Tensor(rng.normal(size=(1, 1, 5, 5))))
+    assert err < 1e-4
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -124,6 +170,40 @@ def test_trace_is_topologically_ordered():
     for node in order:
         for parent in node._parents:
             assert pos[id(parent)] < pos[id(node)]
+
+
+def test_concurrent_backward_keeps_grads_per_thread():
+    def accumulate(seed):
+        x = Tensor(np.random.default_rng(seed).normal(size=3), requires_grad=True)
+        for _ in range(300):
+            backward(((x * x).tanh() * x).sum())
+        return x.grad
+
+    results, errors = {}, []
+
+    def work(seed):
+        try:
+            results[seed] = accumulate(seed)
+        except Exception as exc:  # reported below, with the thread's seed
+            errors.append((seed, exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+    for seed in (1, 2):
+        np.testing.assert_array_equal(results[seed], accumulate(seed))
+    x = Tensor(np.ones(3), requires_grad=True)
+    backward((x * x).sum())
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 def test_max_ties_route_to_first():

@@ -9,8 +9,8 @@ from scipy import special
 from flowseg import ncvi
 from flowseg.diffcore import DomainError, Tensor, backward
 from flowseg.flows import FlowStack, MafLayer
-from flowseg.ncvi import (Hyperpriors, digamma, elbo, gaussian_kl_closed,
-                          gaussian_log_density, kl_terms, mc_kl, psi_term,
+from flowseg.ncvi import (Hyperpriors, digamma, gaussian_kl_closed,
+                          kl_terms, mc_kl, psi_term,
                           refresh_state, update_beta_prior, update_mu_omega,
                           update_mu_rho, update_mu_upsilon, update_pi)
 
@@ -184,12 +184,6 @@ def test_gaussian_kl_closed_values():
         pytest.approx(0.5, abs=1e-12)
 
 
-def test_gaussian_log_density_standard_normal():
-    z = Tensor(np.zeros((1, 1)))
-    lp = gaussian_log_density(z, Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 1))))
-    assert lp.item() == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
-
-
 # -- Monte Carlo KL --------------------------------------------------------------
 
 def _shift_stack() -> FlowStack:
@@ -237,7 +231,3 @@ def test_mc_kl_gradient_reaches_flow_params():
     backward(est)
     grads = [p.grad for p in stack.params()]
     assert any(g is not None and np.abs(g).max() > 0 for g in grads)
-
-
-def test_elbo_is_subtraction():
-    assert elbo(-100.0, 10.0) == -110.0

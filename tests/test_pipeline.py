@@ -134,6 +134,22 @@ def test_adam_single_step_matches_formula():
     assert abs(p.data[0] - (2.0 - 0.1 * 3.0 / (3.0 + 1e-8))) < 1e-12
 
 
+def test_adam_load_state_rejects_missing_moments():
+    a = dc.Tensor(np.ones(2), requires_grad=True)
+    b = dc.Tensor(np.ones(3), requires_grad=True)
+    opt = pl.Adam([("a", a), ("b", b)], lr=0.1)
+    full = {"t": 4, "m": {"a": np.full(2, 0.5), "b": np.full(3, 0.25)},
+            "v": {"a": np.full(2, 2.0), "b": np.full(3, 3.0)}}
+    for moment in ("m", "v"):
+        partial = {**full, moment: {"a": full[moment]["a"]}}
+        with pytest.raises(fd.FormatError, match=r"missing moments.*'b'"):
+            opt.load_state(partial)
+        assert opt.t == 0 and np.all(opt.m["b"] == 0.0)
+    opt.load_state(full)
+    assert opt.t == 4
+    np.testing.assert_array_equal(opt.v["b"], full["v"]["b"])
+
+
 # -- forward contract ----------------------------------------------------------------
 
 

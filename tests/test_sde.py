@@ -7,8 +7,19 @@ import pytest
 
 from flowseg import sde
 from flowseg.diffcore import DomainError, Tensor, backward, grad_check
-from flowseg.sde import OuParams, euler_maruyama, girsanov_log_weight, \
-    girsanov_log_weight_field, ou_analytic_moments, replay, sde_girsanov_sample
+from flowseg.sde import OuParams, euler_maruyama, girsanov_log_weight_field, \
+    ou_analytic_moments, sde_girsanov_sample_field
+
+
+def replay(path, params):
+    """Recompute the terminal state from the recorded increments."""
+    z = path.states[0].data
+    for eps in path.increments:
+        step = params.sigma.data * eps
+        if path.drifted:
+            step = (params.mu.data - z) * path.dt + step
+        z = z + step
+    return z
 
 
 def test_zero_sigma_reduces_to_ode():
@@ -42,14 +53,15 @@ def test_one_step_weight_hand_computed():
     eps = path.increments[0][0]
     lam = (2.0 - 0.3) / 0.5
     expected = -0.5 * lam * lam * 1.0 + lam * eps
-    assert girsanov_log_weight(path, params) == pytest.approx(expected, abs=1e-12)
+    assert girsanov_log_weight_field(path, params).sum() == pytest.approx(
+        expected, abs=1e-12)
 
 
 def test_weight_requires_positive_sigma():
     params = OuParams(mu=Tensor([0.0]), sigma=Tensor([0.0]), n_steps=2)
     path = euler_maruyama(params, Tensor([0.0]), np.random.default_rng(0))
     with pytest.raises(DomainError):
-        girsanov_log_weight(path, params)
+        girsanov_log_weight_field(path, params)
 
 
 @pytest.mark.parametrize("sigma,n_steps", [(1.0, 8), (0.5, 64)])
@@ -170,8 +182,8 @@ def test_sample_propagates_gradients_to_params():
     rng = np.random.default_rng(6)
     mu = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     sigma = Tensor(np.full((2, 3), 0.5), requires_grad=True)
-    z, log_w = sde_girsanov_sample(OuParams(mu=mu, sigma=sigma), rng)
-    assert isinstance(log_w, float)
+    z, log_w = sde_girsanov_sample_field(OuParams(mu=mu, sigma=sigma), rng)
+    assert isinstance(log_w, np.ndarray) and log_w.shape == (2, 3)
     backward(z.sum())
     assert mu.grad is not None and np.all(np.abs(mu.grad) > 0)
     assert sigma.grad is not None
@@ -182,4 +194,5 @@ def test_path_determinism_under_fixed_seed():
     a = euler_maruyama(params, Tensor(np.zeros(5)), np.random.default_rng(77))
     b = euler_maruyama(params, Tensor(np.zeros(5)), np.random.default_rng(77))
     np.testing.assert_array_equal(a.terminal.data, b.terminal.data)
-    assert girsanov_log_weight(a, params) == girsanov_log_weight(b, params)
+    assert girsanov_log_weight_field(a, params).sum() == \
+        girsanov_log_weight_field(b, params).sum()

@@ -5,48 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from flowseg import spatial
 from flowseg.diffcore import Tensor, backward, grad_check
-from flowseg.spatial import (dice_ce_loss, dice_ce_loss_per_item, grad_sqnorm,
-                             gumbel_softmax, laplacian, total_loss)
-
-
-# -- laplacian -----------------------------------------------------------------
-
-def test_laplacian_center_impulse_reproduces_stencil():
-    f = np.zeros((1, 3, 3))
-    f[0, 1, 1] = 1.0
-    out = laplacian(Tensor(f))
-    np.testing.assert_allclose(out.data[0], spatial.LAPLACIAN_KERNEL, atol=1e-14)
-
-
-def test_laplacian_constant_field_zero_pad_boundary():
-    c = 3.0
-    out = laplacian(Tensor(np.full((1, 5, 5), c))).data[0]
-    np.testing.assert_allclose(out[1:-1, 1:-1], 0.0, atol=1e-12)
-    assert out[0, 0] == pytest.approx(-2 * c)       # corner: two inside neighbors
-    assert out[0, 2] == pytest.approx(-c)           # edge: three inside neighbors
-
-
-def test_laplacian_matches_scalar_stencil_loop():
-    rng = np.random.default_rng(0)
-    f = rng.normal(size=(2, 6, 7))
-    out = laplacian(Tensor(f)).data
-    padded = np.pad(f, ((0, 0), (1, 1), (1, 1)))
-    for c in range(2):
-        for i in range(6):
-            for j in range(7):
-                expect = (padded[c, i, j + 1] + padded[c, i + 2, j + 1]
-                          + padded[c, i + 1, j] + padded[c, i + 1, j + 2]
-                          - 4 * padded[c, i + 1, j + 1])
-                assert out[c, i, j] == pytest.approx(expect, abs=1e-12)
-
-
-def test_laplacian_is_differentiable():
-    rng = np.random.default_rng(1)
-    err = grad_check(lambda t: laplacian(t).square().sum(),
-                     Tensor(rng.normal(size=(1, 5, 5))))
-    assert err < 1e-4
+from flowseg.spatial import (dice_ce_loss_per_item, grad_sqnorm,
+                             gumbel_softmax, total_loss)
 
 
 # -- gradient squared norm -------------------------------------------------------
@@ -146,7 +107,7 @@ def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
 def test_dice_ce_perfect_prediction_is_near_zero():
     labels = (np.arange(16).reshape(1, 4, 4) % 2)
     target = _one_hot(labels, 2)
-    loss = dice_ce_loss(Tensor(target), Tensor(target))
+    loss = dice_ce_loss_per_item(Tensor(target), Tensor(target)).mean()
     assert abs(loss.item()) < 1e-5
 
 
@@ -165,7 +126,7 @@ def test_dice_ce_handles_zero_probability_without_error():
     target[0, 0] = 1.0
     pred = np.zeros((1, 2, 2, 2))
     pred[0, 1] = 1.0
-    loss = dice_ce_loss(Tensor(pred), Tensor(target))
+    loss = dice_ce_loss_per_item(Tensor(pred), Tensor(target)).mean()
     assert np.isfinite(loss.item())
 
 
@@ -175,14 +136,15 @@ def test_dice_ce_gradient():
     target = Tensor(_one_hot(labels, 2))
 
     def fn(t):
-        return dice_ce_loss(t.softmax(axis=1), target)
+        return dice_ce_loss_per_item(t.softmax(axis=1), target).mean()
 
     assert grad_check(fn, Tensor(rng.normal(size=(1, 2, 4, 4)))) < 1e-4
 
 
 def test_dice_ce_shape_mismatch():
     with pytest.raises(ValueError):
-        dice_ce_loss(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 4, 4))))
+        dice_ce_loss_per_item(Tensor(np.zeros((1, 2, 4, 4))),
+                              Tensor(np.zeros((1, 3, 4, 4))))
 
 
 # -- total loss -----------------------------------------------------------------------
