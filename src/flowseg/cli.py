@@ -7,12 +7,13 @@ posterior sampling with uncertainty maps, and file inspection.
 Configuration is plain ``key = value`` text with ``#`` comments; flags
 override file values, and the effective configuration is echoed into the
 run directory.  Exit codes: 0 success, 2 usage/config, 3 I/O, 4 numerical
-failure.
+failure, 141 stdout closed by its reader.
 """
 
 import argparse
 import csv
 import io
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -155,6 +156,14 @@ def _load_dataset(path: str | Path):
     return dataset_load(p)
 
 
+def _check_geometry(path, expected: tuple[int, int, int]) -> None:
+    """Reject a dataset whose (H, W, classes) differ from ``expected``."""
+    found = dataset_meta(path)[1:]
+    if found != expected:
+        raise ConfigError(f"{path}: dataset (H, W, classes) is {found}, "
+                          f"expected {expected}")
+
+
 def _split_train_val(samples, val_frac: float):
     if not 0.0 < val_frac < 1.0:
         raise ConfigError(f"val_frac must be in (0, 1), got {val_frac}")
@@ -226,10 +235,7 @@ def _train_common(args, cfg: dict, explicit: set):
     cfg = _resolve_data_config(cfg, explicit, meta)
     if args.val:
         val_samples = _load_dataset(args.val)
-        val_meta = dataset_meta(args.val)
-        if val_meta[1:] != meta[1:]:
-            raise ConfigError(
-                f"validation geometry {val_meta[1:]} != train geometry {meta[1:]}")
+        _check_geometry(args.val, meta[1:])
     else:
         train_samples, val_samples = _split_train_val(
             train_samples, cfg["val_frac"])
@@ -266,15 +272,7 @@ def _eval_datasets(model: Model, paths: list[str]) -> list[float]:
     """Mean Dice per dataset."""
     loaded = []
     for path in paths:
-        meta = dataset_meta(path)
-        if meta[3] != model.cfg.num_classes:
-            raise ConfigError(
-                f"{path}: dataset has {meta[3]} classes but checkpoint "
-                f"expects {model.cfg.num_classes}")
-        if meta[1:3] != tuple(model.cfg.image_size):
-            raise ConfigError(
-                f"{path}: dataset is {meta[1:3]} but checkpoint expects "
-                f"{tuple(model.cfg.image_size)}")
+        _check_geometry(path, (*model.cfg.image_size, model.cfg.num_classes))
         loaded.append(_load_dataset(path))
     return [evaluate(samples, model) for samples in loaded]
 
@@ -316,11 +314,7 @@ def cmd_ablate(args) -> int:
     # reproducible by a standalone train + eval with the same seed.
     eval_sets = [(Path(args.data).stem, _load_dataset(args.data))]
     for path in target_paths:
-        meta = dataset_meta(path)
-        if meta[1:] != (base_cfg.image_size[0], base_cfg.image_size[1],
-                        base_cfg.num_classes):
-            raise ConfigError(
-                f"{path}: geometry {meta[1:]} does not match source")
+        _check_geometry(path, (*base_cfg.image_size, base_cfg.num_classes))
         eval_sets.append((Path(path).stem, _load_dataset(path)))
 
     header = (["version", "nf_posterior", "ncvi", "sde_girsanov"]
@@ -485,6 +479,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at the null device so
+        # the flush at interpreter exit cannot raise again, and exit as a
+        # process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -4,9 +4,10 @@ Dual-stream encoders produce appearance and shape latents, each sampled
 through the OU diffusion with a Girsanov weight (or by plain Gaussian
 reparameterization when that component is off).  The shape latent drives a
 small U-shaped segmentation net whose logits are refined by the flow and
-discretized with Gumbel-Softmax during training; evaluation runs the
-deterministic all-means path.  Closed-form variational updates supply the
-KL penalties of the training loss.
+discretized with Gumbel-Softmax during training.  Closed-form variational
+updates supply the KL penalties of the training loss.  Evaluation
+(``posterior_mean``) takes every latent at its mean, so it runs only the
+shape stream and the U-Net and returns softmax(mu_z).
 """
 
 import math
@@ -236,7 +237,6 @@ class PipelineOutputs:
     mu_omega: np.ndarray | None
     mu_upsilon: np.ndarray | None
     log_rn_weights: list[float]
-    phases: dict[str, bool]
     noise_latent: np.ndarray | None = None
 
 
@@ -270,55 +270,53 @@ def _as_images(images, cfg: ModelConfig) -> Tensor:
     return t
 
 
+def posterior_mean(images, model: Model) -> Tensor:
+    """Deterministic class probabilities softmax(mu_z) of the all-means path.
+
+    With every latent at its mean the appearance latent and the noise model
+    do not reach the prediction, so only the shape encoder and the U-Net run.
+    """
+    images = _as_images(images, model.cfg)
+    with _phase("shape encoding"):
+        mu_x, _ = model.shape_enc(images)
+    with _phase("segmentation latent"):
+        mu_z, _ = model.seg(concat([mu_x, mu_x, mu_x], axis=1))
+    with _phase("prediction"):
+        return mu_z.softmax(axis=1)
+
+
 def forward(images, model: Model, mode: str = "train",
             rng: np.random.Generator | None = None) -> PipelineOutputs:
-    """One pass of the eight-phase inference procedure.
+    """One training pass of the eight-phase inference procedure.
 
-    Train mode samples every latent and relaxes the prediction with
-    Gumbel-Softmax; eval mode is the deterministic all-means path ending in
-    softmax(mu_z).
+    Samples every latent, relaxes the prediction with Gumbel-Softmax and
+    computes the KL penalties.  ``mode`` must be ``"train"``; the
+    deterministic evaluation path is ``posterior_mean``.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    train = mode == "train"
-    if train and rng is None:
+    if mode != "train":
+        raise ValueError(f"mode must be 'train', got {mode!r}; "
+                         "evaluation uses posterior_mean")
+    if rng is None:
         raise ValueError("train mode requires an rng")
     cfg, hp = model.cfg, model.hp
     images = _as_images(images, cfg)
     b = images.shape[0]
     k = cfg.num_classes
-
-    phases = {
-        "sde_sampling": train and cfg.sde_girsanov,
-        "gaussian_sampling": train and not cfg.sde_girsanov,
-        "noise_latent": train and cfg.ncvi,
-        "flow_refinement": train and cfg.nf_posterior,
-        "gumbel_softmax": train,
-        "eval_mean_path": not train,
-        "ncvi_updates": cfg.ncvi,
-        "gaussian_kl_fallback": not cfg.ncvi,
-    }
     log_w = np.zeros(b)
 
     with _phase("appearance encoding"):
         mu_m, lv_m = model.appearance(images)
         sigma_m = (lv_m * 0.5).exp()
-        if train:
-            m, w = _sample_latent(mu_m, sigma_m, cfg, rng)
-            if w is not None:
-                log_w = log_w + w
-        else:
-            m = mu_m
+        m, w = _sample_latent(mu_m, sigma_m, cfg, rng)
+        if w is not None:
+            log_w = log_w + w
 
     with _phase("shape encoding"):
         mu_x, lv_x = model.shape_enc(images)
         sigma_x = (lv_x * 0.5).exp()
-        if train:
-            x, w = _sample_latent(mu_x, sigma_x, cfg, rng)
-            if w is not None:
-                log_w = log_w + w
-        else:
-            x = mu_x
+        x, w = _sample_latent(mu_x, sigma_x, cfg, rng)
+        if w is not None:
+            log_w = log_w + w
 
     mu_rho = None
     noise_latent = None
@@ -326,33 +324,28 @@ def forward(images, model: Model, mode: str = "train",
         r = images - (x + m)
         if cfg.ncvi:
             mu_rho = update_mu_rho(r.data, hp)
-            if train:
-                # Diagnostic noise latent around m with std sqrt(1 / mu_rho);
-                # it does not feed later phases, so it samples detached.
-                sigma_n = Tensor(np.sqrt(1.0 / mu_rho))
-                n_lat, _ = _sample_latent(m.detach(), sigma_n, cfg, rng)
-                noise_latent = n_lat.data
+            # Diagnostic noise latent around m with std sqrt(1 / mu_rho);
+            # it does not feed later phases, so it samples detached.
+            sigma_n = Tensor(np.sqrt(1.0 / mu_rho))
+            n_lat, _ = _sample_latent(m.detach(), sigma_n, cfg, rng)
+            noise_latent = n_lat.data
 
     with _phase("segmentation latent"):
         x_tiled = concat([x, x, x], axis=1)
         mu_z, lv_z = model.seg(x_tiled)
         sigma_z = (lv_z * 0.5).exp()
-        if train:
-            z, w = _sample_latent(mu_z, sigma_z, cfg, rng)
-            if w is not None:
-                log_w = log_w + w
+        z, w = _sample_latent(mu_z, sigma_z, cfg, rng)
+        if w is not None:
+            log_w = log_w + w
 
     with _phase("prediction"):
-        if train:
-            logits = z
-            if cfg.nf_posterior:
-                h, wd = cfg.image_size
-                rows = z.transpose((0, 2, 3, 1)).reshape((b * h * wd, k))
-                refined, _ = flow_push(model.flow, rows)
-                logits = refined.reshape((b, h, wd, k)).transpose((0, 3, 1, 2))
-            y_hat = gumbel_softmax(logits, cfg.tau, rng)
-        else:
-            y_hat = mu_z.softmax(axis=1)
+        logits = z
+        if cfg.nf_posterior:
+            h, wd = cfg.image_size
+            rows = z.transpose((0, 2, 3, 1)).reshape((b * h * wd, k))
+            refined, _ = flow_push(model.flow, rows)
+            logits = refined.reshape((b, h, wd, k)).transpose((0, 3, 1, 2))
+        y_hat = gumbel_softmax(logits, cfg.tau, rng)
 
     with _phase("variational updates"):
         if cfg.ncvi:
@@ -381,7 +374,7 @@ def forward(images, model: Model, mode: str = "train",
     return PipelineOutputs(
         y_hat=y_hat, kl_y=kl_y, kl_z=kl_z, kl_x=kl_x, kl_m=kl_m,
         mu_rho=mu_rho, mu_omega=mu_omega, mu_upsilon=mu_upsilon,
-        log_rn_weights=[float(v) for v in log_w], phases=phases,
+        log_rn_weights=[float(v) for v in log_w],
         noise_latent=noise_latent)
 
 
@@ -499,8 +492,7 @@ def predict(image, model: Model) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(
             f"image shape {arr.shape} does not match the trained size "
             f"{tuple(model.cfg.image_size)}")
-    out = forward(arr[None, None, :, :], model, "eval")
-    conf = out.y_hat.data[0]
+    conf = posterior_mean(arr[None, None, :, :], model).data[0]
     return conf.argmax(axis=0), conf
 
 
@@ -514,8 +506,7 @@ def evaluate(samples: list[Sample], model: Model) -> float:
     for i in range(0, len(samples), bs):
         chunk = samples[i:i + bs]
         images, _ = batch_tensors(chunk, cfg.num_classes)
-        out = forward(images, model, "eval")
-        labels = out.y_hat.data.argmax(axis=1)
+        labels = posterior_mean(images, model).data.argmax(axis=1)
         for pred, s in zip(labels, chunk):
             per_class = [dice_score(pred, s.mask, k)
                          for k in range(1, cfg.num_classes)]

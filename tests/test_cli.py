@@ -1,6 +1,10 @@
 """CLI tests: every subcommand, config handling, exit codes, artifacts."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,14 @@ def work(tmp_path_factory):
     run = root / "out" / "base"
     return {"root": root, "a": a, "c": c, "d": d, "run": run,
             "ckpt": run / "ckpt-best.dbfc"}
+
+
+def _three_class_file(tmp_path):
+    """A dataset at the shared size whose class count differs from the runs'."""
+    three = tmp_path / "three.dbfd"
+    samples = fd.gen_dataset(fd.DOMAINS["A"], 3, image_size=(32, 32))
+    fd.dataset_save(samples, three, num_classes=3)
+    return three
 
 
 # -- gen-data ----------------------------------------------------------------------
@@ -210,6 +222,14 @@ def test_train_geometry_conflict_is_config_error(work, tmp_path, capsys):
     assert "image_size" in capsys.readouterr().err
 
 
+def test_train_val_geometry_mismatch(work, tmp_path, capsys):
+    three = _three_class_file(tmp_path)
+    code = cli.main(["train", "--data", str(work["a"]), "--val", str(three),
+                     "--out", str(tmp_path / "out")] + FAST)
+    assert code == 2
+    assert "three.dbfd" in capsys.readouterr().err
+
+
 # -- eval --------------------------------------------------------------------------
 
 
@@ -249,9 +269,7 @@ def test_eval_requires_targets(work, tmp_path):
 
 
 def test_eval_class_count_mismatch(work, tmp_path, capsys):
-    three = tmp_path / "three.dbfd"
-    samples = fd.gen_dataset(fd.DOMAINS["A"], 3, image_size=(32, 32))
-    fd.dataset_save(samples, three, num_classes=3)
+    three = _three_class_file(tmp_path)
     code = cli.main(["eval", "--ckpt", str(work["ckpt"]),
                      "--out", str(tmp_path / "e.csv"), str(three)])
     assert code == 2
@@ -296,6 +314,15 @@ def test_ablate_requires_targets(work, tmp_path):
     code = cli.main(["ablate", "--data", str(work["a"]),
                      "--out", str(tmp_path / "ab")] + FAST)
     assert code == 2
+
+
+def test_ablate_target_geometry_mismatch(work, tmp_path, capsys):
+    three = _three_class_file(tmp_path)
+    code = cli.main(["ablate", "--data", str(work["a"]),
+                     "--targets", str(three),
+                     "--out", str(tmp_path / "ab")] + FAST)
+    assert code == 2
+    assert "three.dbfd" in capsys.readouterr().err
 
 
 # -- sample-posterior --------------------------------------------------------------
@@ -392,6 +419,19 @@ def test_inspect_truncated_dataset(work, tmp_path):
 
 
 # -- top level ---------------------------------------------------------------------
+
+
+def test_closed_stdout_exits_141_quietly(work):
+    # The read end of the pipe is closed before the child prints anything.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "flowseg.cli", "inspect", str(work["a"])],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert err == b""
+    assert child.returncode == 141
 
 
 def test_usage_errors_exit_2():

@@ -169,21 +169,22 @@ def test_forward_shapes_and_simplex():
     assert out.noise_latent is not None
 
 
-def test_forward_eval_deterministic():
+def test_posterior_mean_deterministic():
     model = pl.Model(_tiny_cfg())
     images, _ = pl.batch_tensors(_toy_samples(2, 16, 16), 2)
-    a = pl.forward(images, model, "eval")
-    b = pl.forward(images, model, "eval")
-    assert np.array_equal(a.y_hat.data, b.y_hat.data)
-    assert np.allclose(a.y_hat.data.sum(axis=1), 1.0, atol=1e-9)
+    a = pl.posterior_mean(images, model)
+    b = pl.posterior_mean(images, model)
+    assert np.array_equal(a.data, b.data)
+    assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_forward_input_validation():
     model = pl.Model(_tiny_cfg())
     with pytest.raises(dc.ShapeError, match="expected images"):
-        pl.forward(np.zeros((2, 1, 8, 8)), model, "eval")
-    with pytest.raises(ValueError, match="mode"):
-        pl.forward(np.zeros((2, 1, 16, 16)), model, "nope")
+        pl.posterior_mean(np.zeros((2, 1, 8, 8)), model)
+    with pytest.raises(ValueError, match="posterior_mean"):
+        pl.forward(np.zeros((2, 1, 16, 16)), model, "eval",
+                   np.random.default_rng(0))
     with pytest.raises(ValueError, match="rng"):
         pl.forward(np.zeros((2, 1, 16, 16)), model, "train")
 
@@ -196,23 +197,11 @@ def test_toggle_matrix_phases(version):
     assert (model.flow is not None) == nf
     images, _ = pl.batch_tensors(_toy_samples(2, 16, 16), 2)
     out = pl.forward(images, model, "train", np.random.default_rng(1))
-    ph = out.phases
-    assert ph["sde_sampling"] == sde
-    assert ph["gaussian_sampling"] == (not sde)
-    assert ph["flow_refinement"] == nf
-    assert ph["ncvi_updates"] == ncvi
-    assert ph["gaussian_kl_fallback"] == (not ncvi)
-    assert ph["noise_latent"] == ncvi
-    assert ph["gumbel_softmax"] and not ph["eval_mean_path"]
     assert (out.mu_rho is not None) == ncvi
     assert (out.mu_omega is not None) == ncvi
     assert (out.noise_latent is not None) == ncvi
     if not sde:
         assert all(v == 0.0 for v in out.log_rn_weights)
-    ev = pl.forward(images, model, "eval")
-    assert ev.phases["eval_mean_path"]
-    assert not ev.phases["gumbel_softmax"]
-    assert not ev.phases["sde_sampling"] and not ev.phases["gaussian_sampling"]
 
 
 @pytest.mark.parametrize("version", sorted(pl.VERSION_TOGGLES))
@@ -317,9 +306,8 @@ def test_train_eval_argmax_agreement():
     model.seg.head_lv.b.assign(np.array([-60.0, -60.0]))
     images, _ = pl.batch_tensors(_toy_samples(4, 16, 16), 2)
     train_out = pl.forward(images, model, "train", np.random.default_rng(0))
-    eval_out = pl.forward(images, model, "eval")
     a = train_out.y_hat.data.argmax(axis=1)
-    b = eval_out.y_hat.data.argmax(axis=1)
+    b = pl.posterior_mean(images, model).data.argmax(axis=1)
     assert (a == b).mean() >= 0.99
 
 
@@ -358,6 +346,38 @@ def test_evaluate_bounds_and_empty():
     assert 0.0 <= score <= 1.0
     with pytest.raises(ValueError, match="nonempty"):
         pl.evaluate([], model)
+
+
+def test_evaluate_equals_mean_of_predict_dice():
+    # 5 samples in batches of 4: the score must not depend on how the set
+    # is cut into batches.
+    cfg = _tiny_cfg(num_classes=3, batch_size=4)
+    model = pl.Model(cfg)
+    samples = _toy_samples(5, 16, 16, k=3, seed=4)
+    per_image = []
+    for s in samples:
+        labels, _ = pl.predict(s, model)
+        per_image.append(np.mean([fd.dice_score(labels, s.mask, k)
+                                  for k in (1, 2)]))
+    assert 0.0 < np.mean(per_image) < 1.0
+    assert pl.evaluate(samples, model) == float(np.mean(per_image))
+
+
+@pytest.mark.parametrize("version", ["ver1", "ver5"])
+def test_evaluation_runs_no_training_only_code(version, monkeypatch):
+    model = pl.Model(pl.config_for_version(_tiny_cfg(), version))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("training-only code ran during evaluation")
+
+    for name in ("refresh_state", "kl_terms", "grad_sqnorm",
+                 "update_mu_rho", "gaussian_kl_closed"):
+        monkeypatch.setattr(pl, name, forbidden)
+    monkeypatch.setattr(model, "appearance", forbidden)
+    samples = _toy_samples(5, 16, 16)
+    assert 0.0 <= pl.evaluate(samples, model) <= 1.0
+    labels, _ = pl.predict(samples[0], model)
+    assert labels.shape == (16, 16)
 
 
 # -- checkpoints -------------------------------------------------------------------------
