@@ -657,7 +657,9 @@ def _unpack_section(body: Reader) -> tuple[str, np.ndarray]:
     name = body.take_str()
     (ndim,) = body.take("<B")
     shape = body.take(f"<{ndim}I")
-    count = int(np.prod(shape)) if shape else 1
+    count = math.prod(shape)  # exact: a corrupt shape must not wrap to a small count
+    if count * 8 > body.remaining:
+        raise FormatError(f"section {name!r}: shape {shape} overruns the checkpoint body")
     data = np.frombuffer(body.take_bytes(count * 8), dtype="<f8")
     return name, data.reshape(shape).copy()
 

@@ -365,7 +365,7 @@ def test_criterion_07_autodiff():
     worst = 0.0
     worst_name = ""
     for name, fn, x in cases:
-        err = dc.grad_check(fn, Tensor(x), eps=1e-5)
+        err = dc.grad_check(fn, Tensor(x))
         if err > worst:
             worst, worst_name = err, name
 
@@ -391,7 +391,7 @@ def test_criterion_07_autodiff():
         return sp.total_loss(recon, [out.kl_y, out.kl_z, out.kl_x, out.kl_m],
                              cfg.lambda_bayes, 64)
 
-    err_input = dc.grad_check(full_forward, Tensor(img), eps=1e-5)
+    err_input = dc.grad_check(full_forward, Tensor(img))
 
     stem = model.shape_enc.stem
 
@@ -403,7 +403,7 @@ def test_criterion_07_autodiff():
         finally:
             stem.w = saved
 
-    err_weight = dc.grad_check(wrt_weight, Tensor(stem.w.data), eps=1e-5)
+    err_weight = dc.grad_check(wrt_weight, Tensor(stem.w.data))
 
     ok = worst < 1e-4 and err_input < 1e-4 and err_weight < 1e-4
     _report(7, "autodiff", ok,

@@ -2,8 +2,10 @@
 
 import csv
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +418,22 @@ def test_inspect_truncated_dataset(work, tmp_path):
     cut = tmp_path / "cut.dbfd"
     cut.write_bytes(work["a"].read_bytes()[:40])
     assert cli.main(["inspect", str(cut)]) == 3
+
+
+def test_corrupt_section_shape_is_format_error(work, tmp_path, capsys):
+    # Reseal the checkpoint with its one-element epoch section claiming shape
+    # (65536,) * 4: 2**64 elements, a count that wraps to 0 in int64.
+    raw = work["ckpt"].read_bytes()[:-4]
+    epoch = b"\x05\x00epoch\x01" + struct.pack("<I", 1)
+    assert raw.count(epoch) == 1
+    raw = raw.replace(epoch, b"\x05\x00epoch\x04" + struct.pack("<4I", *[65536] * 4))
+    bad = tmp_path / "bad_shape.dbfc"
+    bad.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+    assert cli.main(["inspect", str(bad)]) == 3
+    assert "'epoch'" in capsys.readouterr().err
+    assert cli.main(["eval", "--ckpt", str(bad), "--out", str(tmp_path / "e.csv"),
+                     str(work["c"])]) == 3
+    assert "'epoch'" in capsys.readouterr().err
 
 
 # -- top level ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ def test_grad_check_exp_sum():
 
 def test_grad_check_linear_is_exact():
     err = grad_check(lambda t: (t * 3.0).sum(), Tensor([0.5, -1.5, 2.0]))
+    assert err < 1e-9
+
+
+def test_grad_check_unused_input_reads_exactly_zero():
+    # the loss is large and ignores x[1]: its four bumped values are equal,
+    # and the stencil must cancel them exactly, not leave rounding behind
+    err = grad_check(lambda t: (t.slice(0, 0, 1).square() * 1e4).sum(),
+                     Tensor([3.1, 1.0]))
     assert err < 1e-9
 
 
@@ -95,6 +104,69 @@ def test_conv2d_five_point_is_differentiable():
     err = grad_check(lambda t: conv2d(t, Tensor(FIVE_POINT)).square().sum(),
                      Tensor(rng.normal(size=(1, 1, 5, 5))))
     assert err < 1e-4
+
+
+def _conv_loops(x, w, g):
+    """Scalar-loop oracle: 3x3 zero-padded correlation y of x with w, and
+    the gradients of sum(y * g) with respect to x and w."""
+    b, cin, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    y = np.zeros((b, w.shape[0], h, wd))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for n in range(b):
+        for o in range(w.shape[0]):
+            for i in range(h):
+                for j in range(wd):
+                    for c in range(cin):
+                        for ky in range(3):
+                            for kx in range(3):
+                                v = xp[n, c, i + ky, j + kx]
+                                y[n, o, i, j] += w[o, c, ky, kx] * v
+                                dw[o, c, ky, kx] += g[n, o, i, j] * v
+                                dxp[n, c, i + ky, j + kx] += g[n, o, i, j] * w[o, c, ky, kx]
+    return y, dxp[:, :, 1:-1, 1:-1], dw
+
+
+# (5, 7) is a non-square plane; (2, 2) is where an 8x8 U-Net bottoms out.
+@pytest.mark.parametrize("plane", [(5, 7), (2, 2)])
+@pytest.mark.parametrize("cin,cout", [(1, 1), (1, 4), (3, 1), (3, 4)])
+def test_conv2d_matches_loop_oracle(plane, cin, cout):
+    rng = np.random.default_rng(cin * 10 + cout)
+    x0 = rng.normal(size=(2, cin) + plane)
+    w0 = rng.normal(size=(cout, cin, 3, 3))
+    g = rng.normal(size=(2, cout) + plane)
+    y_ref, dx_ref, dw_ref = _conv_loops(x0, w0, g)
+    x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+    y = conv2d(x, w)
+    backward((y * Tensor(g)).sum())
+    np.testing.assert_allclose(y.data, y_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(x.grad, dx_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(w.grad, dw_ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_conv2d_backward_with_one_operand_requiring_grad(x_grad):
+    rng = np.random.default_rng(5)
+    x0, w0 = rng.normal(size=(2, 3, 4, 6)), rng.normal(size=(4, 3, 3, 3))
+    g = rng.normal(size=(2, 4, 4, 6))
+    _, dx_ref, dw_ref = _conv_loops(x0, w0, g)
+    x, w = Tensor(x0, requires_grad=x_grad), Tensor(w0, requires_grad=not x_grad)
+    backward((conv2d(x, w) * Tensor(g)).sum())
+    grad, ref, other = (x.grad, dx_ref, w.grad) if x_grad else (w.grad, dw_ref, x.grad)
+    np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-12)
+    assert other is None
+
+
+def test_conv2d_overflow_raises_without_warning():
+    # +inf from the top row of taps meets -inf from the bottom row
+    w = np.zeros((1, 2, 3, 3))
+    w[0, :, 0, :] = 1.0
+    w[0, :, 2, :] = -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dc.NonFiniteError, match="conv2d"):
+            conv2d(Tensor(np.full((1, 2, 4, 4), 1e308)), Tensor(w))
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -302,14 +374,14 @@ def _op_cases(rng):
 
 
 def test_all_primitive_ops_pass_grad_check():
-    # 5 random trials per op, > 100 checks total, eps 1e-5, tolerance 1e-4
+    # 5 random trials per op, > 100 checks total, tolerance 1e-4
     for trial in range(5):
         rng = np.random.default_rng(100 + trial)
         for name, fn, x0 in _op_cases(rng):
             if name == "max":
                 # keep values apart so central differences do not cross a tie
                 x0 = np.round(x0 * 4.0) + rng.uniform(-0.2, 0.2, x0.shape)
-            err = grad_check(fn, Tensor(x0), eps=1e-5)
+            err = grad_check(fn, Tensor(x0))
             assert err < 1e-4, f"{name} trial {trial}: grad error {err}"
 
 
@@ -323,5 +395,5 @@ def test_grad_check_full_composite_on_8x8():
         out = conv2d(h, k2).softmax(axis=1)
         return (out.square()).mean() + out.slice(1, 0, 1).sum() * 0.01
 
-    err = grad_check(fn, Tensor(rng.normal(size=(1, 1, 8, 8))), eps=1e-5)
+    err = grad_check(fn, Tensor(rng.normal(size=(1, 1, 8, 8))))
     assert err < 1e-4
