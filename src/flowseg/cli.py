@@ -245,8 +245,24 @@ def _train_common(args, cfg: dict, explicit: set):
 _METRIC_COLUMNS = ["epoch", "loss", "dice_val", "kl_y", "kl_z", "kl_x", "kl_m"]
 
 
+def _resumed_config(args, cfg: dict, explicit: set) -> dict:
+    """The checkpoint's config with the caller's epochs: fit trains with it,
+    so a flag that contradicts it is an error rather than a false echo."""
+    model, _, _ = checkpoint_load(args.resume)
+    _check_geometry(args.data, (*model.cfg.image_size, model.cfg.num_classes))
+    saved = config_items(model.cfg, model.hp)
+    for key in sorted(explicit & (saved.keys() - {"epochs"})):
+        if cfg[key] != saved[key]:
+            raise ConfigError(
+                f"--resume: {key} = {_format_value(cfg[key])} but the checkpoint "
+                f"has {key} = {_format_value(saved[key])}")
+    return {**cfg, **saved, "epochs": cfg["epochs"]}
+
+
 def cmd_train(args) -> int:
     cfg, explicit = effective_config(args)
+    if args.resume:
+        cfg = _resumed_config(args, cfg, explicit)
     cfg, train_samples, val_samples = _train_common(args, cfg, explicit)
     run_dir = Path(args.out) / cfg["run"]
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -344,6 +360,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sample_posterior(args) -> int:
     model, _, _ = checkpoint_load(args.ckpt)
+    _check_geometry(args.data, (*model.cfg.image_size, model.cfg.num_classes))
     samples = _load_dataset(args.data)
     if not 0 <= args.index < len(samples):
         raise ConfigError(
@@ -434,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(t)
     t.add_argument("--data", required=True, help="training .dbfd file")
     t.add_argument("--val", help="validation .dbfd file (default: held-out split)")
-    t.add_argument("--resume", help="checkpoint to continue from")
+    t.add_argument("--resume", help="checkpoint to continue from; its config "
+                   "is kept, and a flag other than epochs may not contradict it")
     t.add_argument("--out", default="out", help="parent of the run directory")
     t.set_defaults(func=cmd_train)
 

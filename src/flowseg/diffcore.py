@@ -2,15 +2,19 @@
 
 Every operation validates its inputs, produces a finite result, and records
 a backward closure on the implicit tape (the graph of parent links carried
-by each tensor).  Gradients accumulate additively across backward calls
-until explicitly zeroed.  Tensor value buffers are frozen after creation;
+by each tensor).  The ``grad`` slot of each tensor is the only gradient
+store: during a walk it holds an interior node's pending gradient, and after
+it only leaves keep theirs, accumulating across backward calls until
+explicitly zeroed.  One gradient array may sit in the slots of several
+tensors, so none is ever written in place.  The module holds no state:
+disjoint graphs may be walked in different threads, and one thread walks a
+given graph at a time.  Tensor value buffers are frozen after creation;
 updates replace the buffer rather than mutating it, so a recorded graph can
 always be replayed.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -354,14 +358,10 @@ class Tensor:
         return Tensor._from_op(res, (self,), backward)
 
 
-# The gradient table of the backward walk in progress, one per thread.
-_walk = threading.local()
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g to the pending gradient of t in this thread's backward walk."""
-    grads = _walk.grads
-    grads[id(t)] = grads.get(id(t), 0.0) + g
+    """Add g to the grad slot of t, never in place: a closure may hand the
+    same array to two parents."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -461,30 +461,26 @@ def backward(loss: Tensor) -> None:
     """Reverse-propagate from a scalar loss into leaf .grad buffers.
 
     Each tape node is visited exactly once, in reverse topological order;
-    contributions from multiple consumers are summed before the node's own
-    backward closure runs.  Leaf gradients accumulate additively across
-    calls until zero_grad.
+    contributions from multiple consumers are summed in the node's grad slot
+    before its own backward closure takes them.  No interior node keeps a
+    grad afterwards, even when a closure raises.  Leaf gradients accumulate
+    additively across calls until zero_grad.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("backward: root does not require grad")
     order = trace(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.data.shape)}
-    outer, _walk.grads = getattr(_walk, "grads", None), grads
+    _accumulate(loss, np.ones(loss.data.shape))
     try:
         for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward is not None:
+            if node._backward is not None and node.grad is not None:
+                g, node.grad = node.grad, None
                 node._backward(g)
-            elif node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros(node.data.shape)
-                node.grad += g
     finally:
-        _walk.grads = outer
+        for node in order:
+            if node._backward is not None:
+                node.grad = None
 
 
 def zero_grad(tensors: Iterable[Tensor]) -> None:

@@ -33,27 +33,15 @@ def grad_sqnorm(f: Tensor) -> Tensor:
     return dx.square() + dy.square()
 
 
-def gumbel_softmax(logits: Tensor, tau: float, rng: np.random.Generator,
-                   hard: bool = False) -> Tensor:
-    """Relaxed one-hot sample over the class axis (third from last).
-
-    With hard=True the value is the exact one-hot argmax while gradients
-    follow the soft relaxation (straight-through).
-    """
+def gumbel_softmax(logits: Tensor, tau: float, rng: np.random.Generator) -> Tensor:
+    """Relaxed one-hot sample over the class axis (third from last)."""
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     if logits.ndim < 3:
         raise ValueError(f"gumbel_softmax expects (..., K, H, W), got {logits.shape}")
     u = rng.uniform(1e-12, 1.0 - 1e-12, size=logits.shape)
     gumbel = Tensor(-np.log(-np.log(u)))
-    soft = ((logits + gumbel) * (1.0 / tau)).softmax(axis=logits.ndim - 3)
-    if not hard:
-        return soft
-    axis = logits.ndim - 3
-    idx = soft.data.argmax(axis=axis)
-    one_hot = np.zeros(soft.shape)
-    np.put_along_axis(one_hot, np.expand_dims(idx, axis), 1.0, axis=axis)
-    return Tensor(one_hot) + (soft - soft.detach())
+    return ((logits + gumbel) * (1.0 / tau)).softmax(axis=logits.ndim - 3)
 
 
 def dice_ce_loss_per_item(pred: Tensor, target: Tensor) -> Tensor:
@@ -72,13 +60,6 @@ def dice_ce_loss_per_item(pred: Tensor, target: Tensor) -> Tensor:
     return ce + (1.0 - dice_k.mean(axis=1))
 
 
-def total_loss(recon: Tensor, kls, lam: float, n: int) -> Tensor:
-    """recon + lam * (sum of KL terms) / n."""
-    kl_sum = None
-    for kl in kls:
-        term = kl if isinstance(kl, Tensor) else Tensor(float(kl))
-        kl_sum = term if kl_sum is None else kl_sum + term
-    if kl_sum is None:
-        return recon if isinstance(recon, Tensor) else Tensor(float(recon))
-    recon_t = recon if isinstance(recon, Tensor) else Tensor(float(recon))
-    return recon_t + kl_sum * (lam / n)
+def total_loss(recon: Tensor, kls: list[Tensor], lam: float, n: int) -> Tensor:
+    """recon + lam * (sum of KL terms, left to right) / n."""
+    return recon + sum(kls[1:], kls[0]) * (lam / n)

@@ -216,6 +216,48 @@ def test_train_resume_continues_epochs(work, tmp_path):
     assert [r[0] for r in rows[1:]] == ["1"]  # continues after epoch 0
 
 
+def test_train_resume_echoes_checkpoint_config(work, tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["train", "--data", str(work["a"]), "--out", str(out),
+                     "--set", "run=r", "--set", "epochs=2", "--resume",
+                     str(work["run"] / "ckpt-last.dbfc")])
+    assert code == 0
+    echo = (out / "r" / "config.echo").read_text()
+    # the run trained with the checkpoint's config, not with the defaults
+    for line in ("channels = 4", "flow_layers = 1", "batch_size = 4",
+                 f"image_size = {SIZE}", "seed = 42", "epochs = 2"):
+        assert f"{line}\n" in echo
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--set", "channels=16"], "channels"),
+    (["--seed", "99"], "seed"),
+    (["--set", "hp.phi_rho=0.5"], "hp.phi_rho"),
+])
+def test_train_resume_rejects_flag_that_contradicts_checkpoint(
+        work, tmp_path, capsys, flags, key):
+    out = tmp_path / "out"
+    code = cli.main(["train", "--data", str(work["a"]), "--out", str(out),
+                     "--resume", str(work["run"] / "ckpt-last.dbfc")]
+                    + FAST + flags)
+    assert code == 2
+    assert f"{key} = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_resume_geometry_mismatch(work, tmp_path, capsys):
+    big = tmp_path / "big.dbfd"
+    fd.dataset_save(fd.gen_dataset(fd.DOMAINS["A"], 4, image_size=(64, 64)),
+                    big, num_classes=2)
+    out = tmp_path / "out"
+    code = cli.main(["train", "--data", str(big), "--out", str(out),
+                     "--set", "epochs=2", "--resume",
+                     str(work["run"] / "ckpt-last.dbfc")])
+    assert code == 2
+    assert "big.dbfd" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_geometry_conflict_is_config_error(work, tmp_path, capsys):
     code = cli.main(["train", "--data", str(work["a"]),
                      "--out", str(tmp_path / "out"),
@@ -385,6 +427,16 @@ def test_sample_posterior_bad_index(work, tmp_path):
                      "--data", str(work["a"]), "--index", "999",
                      "--out", str(tmp_path / "p")])
     assert code == 2
+
+
+def test_sample_posterior_geometry_mismatch(work, tmp_path, capsys):
+    three = _three_class_file(tmp_path)
+    out = tmp_path / "p"
+    code = cli.main(["sample-posterior", "--ckpt", str(work["ckpt"]),
+                     "--data", str(three), "--out", str(out)])
+    assert code == 2
+    assert "three.dbfd" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- inspect -----------------------------------------------------------------------

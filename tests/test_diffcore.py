@@ -278,6 +278,47 @@ def test_concurrent_backward_keeps_grads_per_thread():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
+def test_backward_leaves_no_grad_on_interior_nodes():
+    def build(xd, wd):
+        x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+        h = (x @ w).tanh()
+        sq = h * h
+        return (sq + h.exp()).sum(), sq, x, w
+
+    rng = np.random.default_rng(5)
+    xd, wd = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+    loss, sq, x, w = build(xd, wd)
+    interior = [n for n in trace(loss) if n._backward is not None]
+
+    def pending():
+        return [n for n in interior if n.grad is not None]
+
+    backward(loss)
+    assert pending() == []
+
+    # a closure that raises partway leaves no stale gradient behind
+    closure, seen = sq._backward, []
+
+    def fail(g):
+        seen.extend(pending())
+        raise RuntimeError("closure failed")
+
+    sq._backward = fail
+    with pytest.raises(RuntimeError):
+        backward(loss)
+    assert seen, "the walk should stop with gradients still pending"
+    assert pending() == []
+
+    # a later clean walk of the same graph matches a fresh graph bitwise
+    sq._backward = closure
+    zero_grad([x, w])
+    backward(loss)
+    fresh_loss, _, fresh_x, fresh_w = build(xd, wd)
+    backward(fresh_loss)
+    np.testing.assert_array_equal(x.grad, fresh_x.grad)
+    np.testing.assert_array_equal(w.grad, fresh_w.grad)
+
+
 def test_max_ties_route_to_first():
     x = Tensor([2.0, 5.0, 5.0], requires_grad=True)
     backward(x.max(axis=0))
