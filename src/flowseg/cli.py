@@ -247,8 +247,9 @@ _METRIC_COLUMNS = ["epoch", "loss", "dice_val", "kl_y", "kl_z", "kl_x", "kl_m"]
 
 def _resumed_config(args, cfg: dict, explicit: set) -> dict:
     """The checkpoint's config with the caller's epochs: fit trains with it,
-    so a flag that contradicts it is an error rather than a false echo."""
-    model, _, _ = checkpoint_load(args.resume)
+    so a flag that contradicts it, or a run it has already finished, is an
+    error rather than a false echo."""
+    model, _, epoch = checkpoint_load(args.resume)
     _check_geometry(args.data, (*model.cfg.image_size, model.cfg.num_classes))
     saved = config_items(model.cfg, model.hp)
     for key in sorted(explicit & (saved.keys() - {"epochs"})):
@@ -256,6 +257,10 @@ def _resumed_config(args, cfg: dict, explicit: set) -> dict:
             raise ConfigError(
                 f"--resume: {key} = {_format_value(cfg[key])} but the checkpoint "
                 f"has {key} = {_format_value(saved[key])}")
+    if cfg["epochs"] <= epoch:
+        raise ConfigError(
+            f"--resume: epochs = {cfg['epochs']} but the checkpoint has already "
+            f"trained {epoch} epochs; nothing is left to train")
     return {**cfg, **saved, "epochs": cfg["epochs"]}
 
 

@@ -24,7 +24,7 @@ from .diffcore import (NonFiniteError, ShapeError, Tensor, backward, concat,
                        conv2d, zero_grad)
 from .flows import FlowStack, flow_push
 from .ncvi import (Hyperpriors, gaussian_kl_closed, kl_terms, mc_kl,
-                   refresh_state, update_mu_rho)
+                   refresh_state)
 from .sde import OuParams, sde_girsanov_sample_field
 from .spatial import (dice_ce_loss_per_item, grad_sqnorm, gumbel_softmax,
                       total_loss)
@@ -233,11 +233,7 @@ class PipelineOutputs:
     kl_z: Tensor
     kl_x: Tensor
     kl_m: Tensor
-    mu_rho: np.ndarray | None
-    mu_omega: np.ndarray | None
-    mu_upsilon: np.ndarray | None
     log_rn_weights: list[float]
-    noise_latent: np.ndarray | None = None
 
 
 @contextmanager
@@ -249,8 +245,12 @@ def _phase(name: str):
 
 
 def _sample_latent(mu: Tensor, sigma: Tensor, cfg: ModelConfig,
-                   rng: np.random.Generator) -> tuple[Tensor, np.ndarray | None]:
-    """Draw one latent field; returns (sample, per-item mean log RN weight)."""
+                   rng: np.random.Generator) -> tuple[Tensor, np.ndarray]:
+    """Draw one latent field; returns (sample, per-item mean log RN weight).
+
+    The reparameterized draw has no path measure to reweight, so its log
+    weights are zero.
+    """
     if cfg.sde_girsanov:
         params = OuParams(mu=mu, sigma=sigma, horizon=cfg.sde_horizon,
                           n_steps=cfg.sde_steps)
@@ -258,7 +258,7 @@ def _sample_latent(mu: Tensor, sigma: Tensor, cfg: ModelConfig,
         per_item = weight_field.mean(axis=tuple(range(1, weight_field.ndim)))
         return z, per_item
     eps = rng.standard_normal(mu.shape)
-    return mu + sigma * Tensor(eps), None
+    return mu + sigma * Tensor(eps), np.zeros(mu.shape[0])
 
 
 def _as_images(images, cfg: ModelConfig) -> Tensor:
@@ -302,41 +302,28 @@ def forward(images, model: Model, mode: str = "train",
     images = _as_images(images, cfg)
     b = images.shape[0]
     k = cfg.num_classes
-    log_w = np.zeros(b)
 
     with _phase("appearance encoding"):
         mu_m, lv_m = model.appearance(images)
         sigma_m = (lv_m * 0.5).exp()
-        m, w = _sample_latent(mu_m, sigma_m, cfg, rng)
-        if w is not None:
-            log_w = log_w + w
+        m, log_w = _sample_latent(mu_m, sigma_m, cfg, rng)
 
     with _phase("shape encoding"):
         mu_x, lv_x = model.shape_enc(images)
         sigma_x = (lv_x * 0.5).exp()
         x, w = _sample_latent(mu_x, sigma_x, cfg, rng)
-        if w is not None:
-            log_w = log_w + w
+        log_w = log_w + w
 
-    mu_rho = None
-    noise_latent = None
     with _phase("observation likelihood"):
+        # The noise precision enters only through the KL penalty on r.
         r = images - (x + m)
-        if cfg.ncvi:
-            mu_rho = update_mu_rho(r.data, hp)
-            # Diagnostic noise latent around m with std sqrt(1 / mu_rho);
-            # it does not feed later phases, so it samples detached.
-            sigma_n = Tensor(np.sqrt(1.0 / mu_rho))
-            n_lat, _ = _sample_latent(m.detach(), sigma_n, cfg, rng)
-            noise_latent = n_lat.data
 
     with _phase("segmentation latent"):
         x_tiled = concat([x, x, x], axis=1)
         mu_z, lv_z = model.seg(x_tiled)
         sigma_z = (lv_z * 0.5).exp()
         z, w = _sample_latent(mu_z, sigma_z, cfg, rng)
-        if w is not None:
-            log_w = log_w + w
+        log_w = log_w + w
 
     with _phase("prediction"):
         logits = z
@@ -358,7 +345,6 @@ def forward(images, model: Model, mode: str = "train",
                                   sigma_x.data, sigma_z.data, hp)
             kl_y, kl_z, kl_x, kl_m = kl_terms(
                 state, r, gsq_x, gsq_z, sigma_x, sigma_z, resp, mu_m, sigma_m, hp)
-            mu_omega, mu_upsilon = state.mu_omega, state.mu_upsilon
         else:
             # Plain-Gaussian baseline: the segmentation posterior is the
             # only latent with a prior penalty.  Penalizing the appearance
@@ -369,13 +355,10 @@ def forward(images, model: Model, mode: str = "train",
             kl_z = gaussian_kl_closed(mu_z, lv_z)
             kl_x = Tensor(0.0)
             kl_m = Tensor(0.0)
-            mu_omega = mu_upsilon = None
 
     return PipelineOutputs(
         y_hat=y_hat, kl_y=kl_y, kl_z=kl_z, kl_x=kl_x, kl_m=kl_m,
-        mu_rho=mu_rho, mu_omega=mu_omega, mu_upsilon=mu_upsilon,
-        log_rn_weights=[float(v) for v in log_w],
-        noise_latent=noise_latent)
+        log_rn_weights=[float(v) for v in log_w])
 
 
 # -- optimizer ---------------------------------------------------------------------
@@ -406,11 +389,6 @@ class Adam:
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
             p.assign(p.data - self.lr * update)
-
-    def state(self) -> dict:
-        return {"t": self.t,
-                "m": {k: v.copy() for k, v in self.m.items()},
-                "v": {k: v.copy() for k, v in self.v.items()}}
 
     def load_state(self, state: dict) -> None:
         """Restore step count and moments; every parameter needs both moments."""
@@ -456,11 +434,7 @@ def train_step(batch: list[Sample], model: Model, opt: Adam,
     try:
         out = forward(images, model, "train", rng)
         per_item = dice_ce_loss_per_item(out.y_hat, targets)
-        if cfg.sde_girsanov:
-            weights = rn_weights(out.log_rn_weights)
-            recon = (per_item * Tensor(weights)).mean()
-        else:
-            recon = per_item.mean()
+        recon = (per_item * Tensor(rn_weights(out.log_rn_weights))).mean()
         terms["recon"] = recon.data.item()
         for key, t in (("kl_y", out.kl_y), ("kl_z", out.kl_z),
                        ("kl_x", out.kl_x), ("kl_m", out.kl_m)):
@@ -684,15 +658,10 @@ def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
     atomic_write(path, out.seal())
 
 
-def checkpoint_load(path: str | Path, expect_num_classes: int | None = None
-                    ) -> tuple[Model, dict | None, int]:
+def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
     """Rebuild (model, optimizer state, epoch) from a checkpoint file."""
     body = unseal(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
     cfg, hp = _unpack_config(body)
-    if expect_num_classes is not None and cfg.num_classes != expect_num_classes:
-        raise FormatError(
-            f"checkpoint has num_classes={cfg.num_classes}, "
-            f"expected {expect_num_classes}")
     (n_sections,) = body.take("<I")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_sections):

@@ -245,6 +245,20 @@ def test_train_resume_rejects_flag_that_contradicts_checkpoint(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_train_resume_with_nothing_left_to_train(work, tmp_path, capsys,
+                                                 epochs):
+    # The checkpoint has trained one epoch, so epochs <= 1 would train none.
+    out = tmp_path / "out"
+    code = cli.main(["train", "--data", str(work["a"]), "--out", str(out),
+                     "--set", f"epochs={epochs}", "--resume",
+                     str(work["run"] / "ckpt-last.dbfc")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"epochs = {epochs}" in err and "trained 1 epochs" in err
+    assert not out.exists()
+
+
 def test_train_resume_geometry_mismatch(work, tmp_path, capsys):
     big = tmp_path / "big.dbfd"
     fd.dataset_save(fd.gen_dataset(fd.DOMAINS["A"], 4, image_size=(64, 64)),
