@@ -25,9 +25,9 @@ from .data import (DOMAINS, dataset_load, dataset_meta, dataset_save,
                    gen_dataset, pgm_write)
 from .diffcore import NonFiniteError
 from .ncvi import Hyperpriors
-from .pipeline import (Model, ModelConfig, VERSION_TOGGLES, checkpoint_load,
+from .pipeline import (ModelConfig, VERSION_TOGGLES, checkpoint_load,
                        config_for_version, config_items, evaluate, fit,
-                       forward)
+                       forward, resumed_config)
 
 
 class ConfigError(ValueError):
@@ -123,11 +123,7 @@ def effective_config(args) -> tuple[dict, set]:
 
 
 def model_config_from(cfg: dict) -> ModelConfig:
-    kwargs = {f.name: cfg[f.name] for f in fields(ModelConfig)}
-    try:
-        return ModelConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
 
 
 def hyperpriors_from(cfg: dict) -> Hyperpriors:
@@ -149,19 +145,18 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text(buf.getvalue())
 
 
-def _load_dataset(path: str | Path):
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"dataset not found: {p}")
-    return dataset_load(p)
+def _geometry(cfg: ModelConfig) -> tuple[int, int, int]:
+    return (*cfg.image_size, cfg.num_classes)
 
 
-def _check_geometry(path, expected: tuple[int, int, int]) -> None:
-    """Reject a dataset whose (H, W, classes) differ from ``expected``."""
-    found = dataset_meta(path)[1:]
-    if found != expected:
-        raise ConfigError(f"{path}: dataset (H, W, classes) is {found}, "
+def _load_dataset(path, expected: tuple[int, int, int] | None = None):
+    """A dataset's samples and (n, H, W, classes) header; a file whose
+    (H, W, classes) differ from ``expected`` is rejected before it loads."""
+    header = dataset_meta(path)
+    if expected is not None and header[1:] != expected:
+        raise ConfigError(f"{path}: dataset (H, W, classes) is {header[1:]}, "
                           f"expected {expected}")
+    return dataset_load(path), header
 
 
 def _split_train_val(samples, val_frac: float):
@@ -228,91 +223,69 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_common(args, cfg: dict, explicit: set):
-    """Shared train/ablate setup: datasets, geometry fold-in, run dir."""
-    train_samples = _load_dataset(args.data)
-    meta = dataset_meta(args.data)
-    cfg = _resolve_data_config(cfg, explicit, meta)
-    if args.val:
-        val_samples = _load_dataset(args.val)
-        _check_geometry(args.val, meta[1:])
-    else:
-        train_samples, val_samples = _split_train_val(
-            train_samples, cfg["val_frac"])
-    return cfg, train_samples, val_samples
-
-
-_METRIC_COLUMNS = ["epoch", "loss", "dice_val", "kl_y", "kl_z", "kl_x", "kl_m"]
-
-
-def _resumed_config(args, cfg: dict, explicit: set) -> dict:
-    """The checkpoint's config with the caller's epochs: fit trains with it,
-    so a flag that contradicts it, or a run it has already finished, is an
-    error rather than a false echo."""
-    model, _, epoch = checkpoint_load(args.resume)
-    _check_geometry(args.data, (*model.cfg.image_size, model.cfg.num_classes))
+def _resumed_config(cfg: dict, explicit: set, ckpt) -> dict:
+    """The config that fit trains a resumed run with, echoed as it runs; a
+    flag that contradicts the checkpoint is an error, not a false echo."""
+    model, _, epoch = ckpt
     saved = config_items(model.cfg, model.hp)
     for key in sorted(explicit & (saved.keys() - {"epochs"})):
         if cfg[key] != saved[key]:
             raise ConfigError(
                 f"--resume: {key} = {_format_value(cfg[key])} but the checkpoint "
                 f"has {key} = {_format_value(saved[key])}")
-    if cfg["epochs"] <= epoch:
-        raise ConfigError(
-            f"--resume: epochs = {cfg['epochs']} but the checkpoint has already "
-            f"trained {epoch} epochs; nothing is left to train")
-    return {**cfg, **saved, "epochs": cfg["epochs"]}
+    resumed = resumed_config(model.cfg, epoch, cfg["epochs"])
+    return {**cfg, **config_items(resumed, model.hp)}
+
+
+def _train_common(args, cfg: dict, explicit: set, ckpt=None):
+    """Shared train/ablate setup: (config, the training file's samples, train
+    set, val set); ``ckpt`` is what checkpoint_load read for --resume."""
+    expected = None if ckpt is None else _geometry(ckpt[0].cfg)
+    samples, header = _load_dataset(args.data, expected)
+    if ckpt is not None:
+        cfg = _resumed_config(cfg, explicit, ckpt)
+    cfg = _resolve_data_config(cfg, explicit, header)
+    if args.val:
+        return cfg, samples, samples, _load_dataset(args.val, header[1:])[0]
+    return cfg, samples, *_split_train_val(samples, cfg["val_frac"])
 
 
 def cmd_train(args) -> int:
     cfg, explicit = effective_config(args)
-    if args.resume:
-        cfg = _resumed_config(args, cfg, explicit)
-    cfg, train_samples, val_samples = _train_common(args, cfg, explicit)
+    ckpt = checkpoint_load(args.resume) if args.resume else None
+    cfg, _, train_samples, val_samples = _train_common(args, cfg, explicit, ckpt)
+    model_cfg = model_config_from(cfg)
+    hp = hyperpriors_from(cfg)
     run_dir = Path(args.out) / cfg["run"]
     run_dir.mkdir(parents=True, exist_ok=True)
     write_config_echo(cfg, run_dir / "config.echo")
-    model_cfg = model_config_from(cfg)
-    hp = hyperpriors_from(cfg)
 
-    def report(row):
+    # Rewritten as each epoch ends, so a run that dies keeps its record.
+    history: list[dict] = []
+
+    def record(row):
+        history.append(row)
+        _write_csv(run_dir / "metrics.csv", list(row),
+                   [list(r.values()) for r in history])
         print(f"epoch {row['epoch']}: loss {row['loss']:.4f} "
               f"dice {row['dice_val']:.4f}", flush=True)
 
-    model, history = fit(train_samples, val_samples, model_cfg,
-                         out_dir=run_dir, resume=args.resume, hp=hp,
-                         progress=report)
-    _write_csv(run_dir / "metrics.csv", _METRIC_COLUMNS,
-               [[row[c] for c in _METRIC_COLUMNS] for row in history])
-    best = max((row["dice_val"] for row in history), default=float("nan"))
+    fit(train_samples, val_samples, model_cfg, out_dir=run_dir,
+        resume=args.resume, hp=hp, progress=record)
+    best = max(row["dice_val"] for row in history)
     print(f"best validation dice {best:.4f}; artifacts in {run_dir}")
     return 0
 
 
-def _eval_datasets(model: Model, paths: list[str]) -> list[float]:
-    """Mean Dice per dataset."""
-    loaded = []
-    for path in paths:
-        _check_geometry(path, (*model.cfg.image_size, model.cfg.num_classes))
-        loaded.append(_load_dataset(path))
-    return [evaluate(samples, model) for samples in loaded]
-
-
 def cmd_eval(args) -> int:
-    model, _, _ = checkpoint_load(args.ckpt)
-    paths = ([args.source] if args.source else []) + list(args.data)
     if not args.data:
         raise ConfigError("eval needs at least one target dataset")
-    dices = _eval_datasets(model, paths)
-    rows: list[list] = []
-    offset = 0
-    if args.source:
-        rows.append([Path(args.source).stem, dices[0]])
-        offset = 1
-    target_dices = dices[offset:]
-    for path, dice in zip(args.data, target_dices):
-        rows.append([Path(path).stem, dice])
-    rows.append(["avg_targets", float(np.mean(target_dices))])
+    model, _, _ = checkpoint_load(args.ckpt)
+    paths = ([args.source] if args.source else []) + list(args.data)
+    loaded = [_load_dataset(path, _geometry(model.cfg))[0] for path in paths]
+    dices = [evaluate(samples, model) for samples in loaded]
+    rows = [[Path(path).stem, dice] for path, dice in zip(paths, dices)]
+    rows.append(["avg_targets", float(np.mean(dices[-len(args.data):]))])
     for name, dice in rows:
         print(f"{name}: {dice:.4f}")
     _write_csv(Path(args.out), ["dataset", "dice"], rows)
@@ -320,23 +293,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if not args.targets:
+        raise ConfigError("ablate needs at least one target dataset")
     cfg, explicit = effective_config(args)
-    cfg, train_samples, val_samples = _train_common(args, cfg, explicit)
+    cfg, source, train_samples, val_samples = _train_common(args, cfg, explicit)
+    base_cfg = model_config_from(cfg)
+    hp = hyperpriors_from(cfg)
+    # The source column is measured on the full source file so the row is
+    # reproducible by a standalone train + eval with the same seed.
+    eval_sets = [(Path(args.data).stem, source)]
+    for path in args.targets:
+        eval_sets.append((Path(path).stem,
+                          _load_dataset(path, _geometry(base_cfg))[0]))
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     write_config_echo(cfg, run_dir / "config.echo")
-    base_cfg = model_config_from(cfg)
-    hp = hyperpriors_from(cfg)
-
-    target_paths = list(args.targets or [])
-    if not target_paths:
-        raise ConfigError("ablate needs at least one target dataset")
-    # The source column is measured on the full source file so the row is
-    # reproducible by a standalone train + eval with the same seed.
-    eval_sets = [(Path(args.data).stem, _load_dataset(args.data))]
-    for path in target_paths:
-        _check_geometry(path, (*base_cfg.image_size, base_cfg.num_classes))
-        eval_sets.append((Path(path).stem, _load_dataset(path)))
 
     header = (["version", "nf_posterior", "ncvi", "sde_girsanov"]
               + [name for name, _ in eval_sets] + ["avg_targets"])
@@ -365,8 +336,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sample_posterior(args) -> int:
     model, _, _ = checkpoint_load(args.ckpt)
-    _check_geometry(args.data, (*model.cfg.image_size, model.cfg.num_classes))
-    samples = _load_dataset(args.data)
+    samples, _ = _load_dataset(args.data, _geometry(model.cfg))
     if not 0 <= args.index < len(samples):
         raise ConfigError(
             f"--index {args.index} out of range for {len(samples)} samples")
@@ -408,8 +378,7 @@ def cmd_inspect(args) -> int:
         raise FileNotFoundError(f"no such file: {path}")
     kind = sniff(path)
     if kind == "dataset":
-        n, h, w, k = dataset_meta(path)
-        dataset_load(path)  # full checksum validation
+        _, (n, h, w, k) = _load_dataset(path)  # full checksum validation
         print(f"kind: dataset\nsamples: {n}\nheight: {h}\nwidth: {w}\n"
               f"classes: {k}\nbytes: {path.stat().st_size}\nchecksum: ok")
         return 0

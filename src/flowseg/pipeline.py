@@ -44,6 +44,12 @@ VERSION_TOGGLES = {
 RN_LOG_CLAMP = 5.0
 
 
+# The least value each integer field of ModelConfig may take.
+_INT_FLOORS = {"num_classes": 2, "channels": 1, "flow_layers": 0,
+               "flow_hidden": 1, "flow_kl_samples": 1, "sde_steps": 1,
+               "epochs": 1, "batch_size": 1, "seed": 0}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_classes: int = 2
@@ -68,14 +74,16 @@ class ModelConfig:
     augment: bool = False
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        for key, least in _INT_FLOORS.items():
+            if getattr(self, key) < least:
+                raise ValueError(
+                    f"{key} must be >= {least}, got {getattr(self, key)}")
         h, w = self.image_size
         if h % 4 != 0 or w % 4 != 0:
             raise ValueError(
                 f"image_size must be divisible by 4 (two pooling levels), got {(h, w)}")
-        if self.sde_steps < 1 or self.sde_horizon <= 0.0:
-            raise ValueError("sde_steps must be >= 1 and sde_horizon > 0")
+        if self.sde_horizon <= 0.0:
+            raise ValueError(f"sde_horizon must be positive, got {self.sde_horizon}")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
@@ -87,6 +95,17 @@ def config_for_version(cfg: ModelConfig, version: str) -> ModelConfig:
             f"unknown version {version!r}; expected one of {sorted(VERSION_TOGGLES)}")
     nf, ncvi, sde = VERSION_TOGGLES[version]
     return replace(cfg, nf_posterior=nf, ncvi=ncvi, sde_girsanov=sde)
+
+
+def resumed_config(cfg: ModelConfig, epoch: int, epochs: int) -> ModelConfig:
+    """What a run resumed from a checkpoint at ``epoch`` trains with: the
+    checkpoint's ``cfg``, which fixes the trajectory (seed, sizes, rates),
+    with the caller's run length, which must leave an epoch to train."""
+    if epochs <= epoch:
+        raise ValueError(
+            f"epochs = {epochs} but the checkpoint has already trained {epoch} "
+            "epochs; nothing is left to train")
+    return replace(cfg, epochs=epochs)
 
 
 def config_items(cfg: ModelConfig, hp: Hyperpriors) -> dict:
@@ -425,8 +444,9 @@ def rn_weights(log_weights: list[float]) -> np.ndarray:
 
 
 def train_step(batch: list[Sample], model: Model, opt: Adam,
-               rng: np.random.Generator) -> tuple[float, dict]:
-    """Forward, loss, backward, one optimizer step; returns (loss, term breakdown)."""
+               rng: np.random.Generator) -> dict[str, float]:
+    """Forward, loss, backward, one optimizer step; returns each loss term
+    by name in the order computed, their weighted total ``loss`` last."""
     cfg = model.cfg
     images, targets = batch_tensors(batch, cfg.num_classes)
     b, _, h, w = images.shape
@@ -456,7 +476,7 @@ def train_step(batch: list[Sample], model: Model, opt: Adam,
             + ", ".join(f"{k}={v:.6g}" for k, v in terms.items())) from exc
     opt.step()
     zero_grad(model.params())
-    return terms["loss"], terms
+    return terms
 
 
 def predict(image, model: Model) -> tuple[np.ndarray, np.ndarray]:
@@ -476,9 +496,8 @@ def evaluate(samples: list[Sample], model: Model) -> float:
         raise ValueError("evaluate needs a nonempty dataset")
     cfg = model.cfg
     scores = []
-    bs = max(cfg.batch_size, 1)
-    for i in range(0, len(samples), bs):
-        chunk = samples[i:i + bs]
+    for i in range(0, len(samples), cfg.batch_size):
+        chunk = samples[i:i + cfg.batch_size]
         images, _ = batch_tensors(chunk, cfg.num_classes)
         labels = posterior_mean(images, model).data.argmax(axis=1)
         for pred, s in zip(labels, chunk):
@@ -499,6 +518,8 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
         ) -> tuple[Model, list[dict]]:
     """Shuffled minibatch epochs with per-epoch derived RNG streams.
 
+    A history row is ``epoch``, ``dice_val`` and the epoch's mean of each
+    ``train_step`` term; ``progress`` gets each row as its epoch ends.
     Checkpoints go to out_dir (ckpt-last every epoch, ckpt-best at the best
     validation Dice); the returned model carries the best parameters.
     Resuming restores parameters, optimizer moments, and epoch numbering,
@@ -507,20 +528,15 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
     """
     if not train_set or not val_set:
         raise ValueError("fit needs nonempty train and validation sets")
-    start_epoch = 0
     if resume is not None:
         model, opt_state, start_epoch = checkpoint_load(resume)
-        # Run length may be extended by the caller; everything that shapes
-        # the trajectory (seed, sizes, rates) comes from the checkpoint.
-        model.cfg = replace(model.cfg, epochs=cfg.epochs)
-        opt = Adam(model.named_params(), model.cfg.learning_rate,
-                   model.cfg.weight_decay)
-        if opt_state is not None:
-            opt.load_state(opt_state)
-        cfg = model.cfg
+        model.cfg = resumed_config(model.cfg, start_epoch, cfg.epochs)
     else:
-        model = Model(cfg, hp=hp)
-        opt = Adam(model.named_params(), cfg.learning_rate, cfg.weight_decay)
+        model, opt_state, start_epoch = Model(cfg, hp=hp), None, 0
+    cfg = model.cfg
+    opt = Adam(model.named_params(), cfg.learning_rate, cfg.weight_decay)
+    if opt_state is not None:
+        opt.load_state(opt_state)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -541,16 +557,13 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
             batch = [train_set[j] for j in order[i:i + cfg.batch_size]]
             if cfg.augment:
                 batch = [augment(s, aug_rng) for s in batch]
-            _, terms = train_step(batch, model, opt, step_rng)
-            for key, val in terms.items():
+            for key, val in train_step(batch, model, opt, step_rng).items():
                 sums[key] = sums.get(key, 0.0) + val
             n_steps += 1
 
         val_dice = evaluate(val_set, model)
-        row = {"epoch": epoch, "loss": sums["loss"] / n_steps,
-               "dice_val": val_dice,
-               "kl_y": sums["kl_y"] / n_steps, "kl_z": sums["kl_z"] / n_steps,
-               "kl_x": sums["kl_x"] / n_steps, "kl_m": sums["kl_m"] / n_steps}
+        row = {"epoch": epoch, "dice_val": val_dice,
+               **{key: total / n_steps for key, total in sums.items()}}
         history.append(row)
         if out_path is not None:
             checkpoint_save(model, out_path / "ckpt-last.dbfc", opt=opt,

@@ -14,6 +14,7 @@ import pytest
 import flowseg.cli as cli
 import flowseg.data as fd
 import flowseg.pipeline as pl
+from flowseg.diffcore import NonFiniteError
 
 # Small geometry that the default blob parameters still fit into.
 SIZE = "32x32"
@@ -188,8 +189,8 @@ def test_train_run_artifacts(work):
     assert (run / "ckpt-best.dbfc").exists()
     assert (run / "ckpt-last.dbfc").exists()
     rows = list(csv.reader((run / "metrics.csv").open()))
-    assert rows[0] == ["epoch", "loss", "dice_val", "kl_y", "kl_z",
-                       "kl_x", "kl_m"]
+    assert rows[0] == ["epoch", "dice_val", "recon", "kl_y", "kl_z",
+                       "kl_x", "kl_m", "flow_kl", "loss"]
     assert len(rows) == 2  # header + one epoch
     echo = (run / "config.echo").read_text()
     assert "epochs = 1\n" in echo
@@ -270,6 +271,71 @@ def test_train_resume_geometry_mismatch(work, tmp_path, capsys):
     assert code == 2
     assert "big.dbfd" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_ver1_metrics_have_no_flow_kl(work, tmp_path):
+    # ver1 computes no flow KL, so its run has no such column.
+    out = tmp_path / "out"
+    code = cli.main(["train", "--data", str(work["a"]), "--out", str(out),
+                     "--set", "run=v1", "--set", "nf_posterior=false",
+                     "--set", "ncvi=false", "--set", "sde_girsanov=false"]
+                    + FAST)
+    assert code == 0
+    header = _read_csv(out / "v1" / "metrics.csv")[0]
+    assert header == ["epoch", "dice_val", "recon", "kl_y", "kl_z",
+                      "kl_x", "kl_m", "loss"]
+
+
+def test_train_numerical_failure_keeps_finished_epochs(work, tmp_path,
+                                                        monkeypatch):
+    # Every step of epoch 1 fails; epoch 0's row and checkpoint must survive.
+    epochs_begun = []
+    real_rngs, real_step = pl._epoch_rngs, pl.train_step
+
+    def rngs(seed, epoch):
+        epochs_begun.append(epoch)
+        return real_rngs(seed, epoch)
+
+    def step(*args):
+        if epochs_begun[-1] == 1:
+            raise NonFiniteError("injected")
+        return real_step(*args)
+
+    monkeypatch.setattr(pl, "_epoch_rngs", rngs)
+    monkeypatch.setattr(pl, "train_step", step)
+    out = tmp_path / "out"
+    code = cli.main(["train", "--data", str(work["a"]), "--out", str(out),
+                     "--set", "run=r"] + FAST + ["--set", "epochs=2"])
+    assert code == 4
+    rows = _read_csv(out / "r" / "metrics.csv")
+    assert [r[0] for r in rows[1:]] == ["0"]
+    assert pl.checkpoint_load(out / "r" / "ckpt-last.dbfc")[2] == 1
+
+
+# ModelConfig's floors: these values are rejected by name.
+_REJECTED = ({(key, v) for key in ("epochs", "batch_size", "channels",
+                                   "flow_hidden", "flow_kl_samples")
+              for v in (0, -1)}
+             | {("flow_layers", -1), ("seed", -1)})
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("key", ["epochs", "batch_size", "channels",
+                                 "flow_layers", "flow_hidden",
+                                 "flow_kl_samples", "sde_steps", "seed",
+                                 "num_classes"])
+def test_train_integer_key_at_zero_or_below(work, tmp_path, capsys, key,
+                                            value):
+    # A crash would escape main as an exception: the traceback of exit 1.
+    code = cli.main(["train", "--data", str(work["a"]),
+                     "--out", str(tmp_path / "out")]
+                    + FAST + ["--set", f"{key}={value}"])
+    assert code != 1
+    if code == 2:
+        err = capsys.readouterr().err
+        assert key in err or work["a"].name in err
+    if (key, value) in _REJECTED:
+        assert code == 2
 
 
 def test_train_geometry_conflict_is_config_error(work, tmp_path, capsys):

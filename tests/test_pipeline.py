@@ -229,7 +229,7 @@ def test_flow_kl_term_only_when_both_components_on():
         cfg = pl.config_for_version(_tiny_cfg(), version)
         model = pl.Model(cfg)
         opt = pl.Adam(model.named_params(), cfg.learning_rate)
-        _, terms = pl.train_step(samples, model, opt, np.random.default_rng(3))
+        terms = pl.train_step(samples, model, opt, np.random.default_rng(3))
         assert ("flow_kl" in terms) == (nf and ncvi)
 
 
@@ -276,8 +276,8 @@ def test_recon_term_decreases_over_training():
     rng = np.random.default_rng(7)
     terms = {}
     for i in range(50):
-        _, terms = pl.train_step(samples[:4] if i % 2 == 0 else samples[4:],
-                                 model, opt, rng)
+        terms = pl.train_step(samples[:4] if i % 2 == 0 else samples[4:],
+                              model, opt, rng)
     end = _recon_value(samples[:4], model, seed=99)
     assert end < start - 0.02, f"recon did not decrease: {start} -> {end}"
     assert np.isfinite(terms["loss"])
@@ -291,8 +291,8 @@ def test_fit_is_deterministic():
     assert hist_a == hist_b
     assert len(hist_a) == 2
     for row in hist_a:
-        assert set(row) == {"epoch", "loss", "dice_val",
-                            "kl_y", "kl_z", "kl_x", "kl_m"}
+        assert list(row) == ["epoch", "dice_val", "recon", "kl_y", "kl_z",
+                             "kl_x", "kl_m", "flow_kl", "loss"]
 
 
 def test_fit_early_stop():
@@ -478,3 +478,15 @@ def test_resume_reproduces_trajectory(tmp_path):
     for row_r, row_s in zip(resumed, straight[2:]):
         for key in row_s:
             assert row_r[key] == pytest.approx(row_s[key], rel=1e-10), key
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_fit_resume_with_nothing_left_to_train(tmp_path, epochs):
+    # The checkpoint has trained two epochs, so epochs <= 2 would train none.
+    cfg = _tiny_cfg(epochs=epochs)
+    snap = tmp_path / "snap.dbfc"
+    pl.checkpoint_save(pl.Model(cfg), snap, epoch=2)
+    samples = _toy_samples(4, 16, 16)
+    with pytest.raises(ValueError,
+                       match=f"epochs = {epochs} .*already trained 2 epochs"):
+        pl.fit(samples, samples, cfg, resume=snap)
