@@ -15,7 +15,7 @@ import csv
 import io
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,9 @@ from .container import FormatError, sniff
 from .data import (DOMAINS, dataset_load, dataset_meta, dataset_save,
                    gen_dataset, pgm_write)
 from .diffcore import NonFiniteError
-from .ncvi import Hyperpriors
 from .pipeline import (ModelConfig, VERSION_TOGGLES, checkpoint_load,
-                       config_for_version, config_items, evaluate, fit,
-                       forward, resumed_config)
+                       config_for_version, config_from_items, config_items,
+                       evaluate, fit, forward, resumed_config)
 
 
 class ConfigError(ValueError):
@@ -40,7 +39,7 @@ _DEFAULT_EXTRAS = {"domain": "A", "n": 200, "val_frac": 0.2, "run": "run"}
 
 
 def default_config() -> dict:
-    return {**config_items(ModelConfig(), Hyperpriors()), **_DEFAULT_EXTRAS}
+    return {**config_items(ModelConfig()), **_DEFAULT_EXTRAS}
 
 
 _ALLOWED_KEYS = set(default_config())
@@ -120,14 +119,6 @@ def effective_config(args) -> tuple[dict, set]:
         cfg["seed"] = args.seed
         explicit.add("seed")
     return cfg, explicit
-
-
-def model_config_from(cfg: dict) -> ModelConfig:
-    return ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
-
-
-def hyperpriors_from(cfg: dict) -> Hyperpriors:
-    return Hyperpriors(**{f.name: cfg[f"hp.{f.name}"] for f in fields(Hyperpriors)})
 
 
 def write_config_echo(cfg: dict, path: Path) -> None:
@@ -227,14 +218,14 @@ def _resumed_config(cfg: dict, explicit: set, ckpt) -> dict:
     """The config that fit trains a resumed run with, echoed as it runs; a
     flag that contradicts the checkpoint is an error, not a false echo."""
     model, _, epoch = ckpt
-    saved = config_items(model.cfg, model.hp)
+    saved = config_items(model.cfg)
     for key in sorted(explicit & (saved.keys() - {"epochs"})):
         if cfg[key] != saved[key]:
             raise ConfigError(
                 f"--resume: {key} = {_format_value(cfg[key])} but the checkpoint "
                 f"has {key} = {_format_value(saved[key])}")
     resumed = resumed_config(model.cfg, epoch, cfg["epochs"])
-    return {**cfg, **config_items(resumed, model.hp)}
+    return {**cfg, **config_items(resumed)}
 
 
 def _train_common(args, cfg: dict, explicit: set, ckpt=None):
@@ -254,8 +245,7 @@ def cmd_train(args) -> int:
     cfg, explicit = effective_config(args)
     ckpt = checkpoint_load(args.resume) if args.resume else None
     cfg, _, train_samples, val_samples = _train_common(args, cfg, explicit, ckpt)
-    model_cfg = model_config_from(cfg)
-    hp = hyperpriors_from(cfg)
+    model_cfg = config_from_items(cfg)
     run_dir = Path(args.out) / cfg["run"]
     run_dir.mkdir(parents=True, exist_ok=True)
     write_config_echo(cfg, run_dir / "config.echo")
@@ -271,7 +261,7 @@ def cmd_train(args) -> int:
               f"dice {row['dice_val']:.4f}", flush=True)
 
     fit(train_samples, val_samples, model_cfg, out_dir=run_dir,
-        resume=args.resume, hp=hp, progress=record)
+        resume=args.resume, progress=record)
     best = max(row["dice_val"] for row in history)
     print(f"best validation dice {best:.4f}; artifacts in {run_dir}")
     return 0
@@ -297,8 +287,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablate needs at least one target dataset")
     cfg, explicit = effective_config(args)
     cfg, source, train_samples, val_samples = _train_common(args, cfg, explicit)
-    base_cfg = model_config_from(cfg)
-    hp = hyperpriors_from(cfg)
+    base_cfg = config_from_items(cfg)
     # The source column is measured on the full source file so the row is
     # reproducible by a standalone train + eval with the same seed.
     eval_sets = [(Path(args.data).stem, source)]
@@ -315,7 +304,7 @@ def cmd_ablate(args) -> int:
     summary: dict[str, float] = {}
     for version in sorted(VERSION_TOGGLES):
         ver_cfg = config_for_version(base_cfg, version)
-        model, _ = fit(train_samples, val_samples, ver_cfg, hp=hp)
+        model, _ = fit(train_samples, val_samples, ver_cfg)
         dices = [evaluate(s, model) for _, s in eval_sets]
         avg_targets = float(np.mean(dices[1:]))
         nf, ncvi, sde = VERSION_TOGGLES[version]

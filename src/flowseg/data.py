@@ -157,97 +157,6 @@ def gen_dataset(domain: DomainConfig, n: int,
     return [_gen_sample(domain, h, w, rng) for _ in range(n)]
 
 
-# -- augmentation -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    rotation_deg: float = 10.0
-    translate_frac: float = 0.05
-    elastic_sigma: float = 1.5
-    elastic_grid: int = 4
-    noise_sigma: float = 0.02
-
-
-def _rot_matrix(angle_deg: float) -> np.ndarray:
-    a = np.deg2rad(angle_deg)
-    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-
-
-def affine_warp(arr: np.ndarray, angle_deg: float,
-                translate: tuple[float, float], order: int) -> np.ndarray:
-    """Pull-map warped[o] = arr[R(angle) (o - c) + c + t] about the image center.
-
-    order=1 bilinear with edge replication (images), order=0 nearest with
-    zero fill (label masks).
-    """
-    h, w = arr.shape
-    c0, c1 = (h - 1) / 2.0, (w - 1) / 2.0
-    ii, jj = np.meshgrid(np.arange(h, dtype=float),
-                         np.arange(w, dtype=float), indexing="ij")
-    rot = _rot_matrix(angle_deg)
-    di, dj = ii - c0, jj - c1
-    src_i = rot[0, 0] * di + rot[0, 1] * dj + c0 + translate[0]
-    src_j = rot[1, 0] * di + rot[1, 1] * dj + c1 + translate[1]
-    mode = "nearest" if order >= 1 else "constant"
-    out = map_coordinates(arr.astype(float), [src_i, src_j],
-                          order=order, mode=mode, cval=0.0)
-    return out.astype(arr.dtype) if order == 0 else out
-
-
-def _elastic_displacement(h: int, w: int, cfg: AugmentConfig,
-                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    g = cfg.elastic_grid
-    coarse_i = rng.normal(0.0, cfg.elastic_sigma, size=(g, g))
-    coarse_j = rng.normal(0.0, cfg.elastic_sigma, size=(g, g))
-    return _upsample_bilinear(coarse_i, h, w), _upsample_bilinear(coarse_j, h, w)
-
-
-def _displace(arr: np.ndarray, disp_i: np.ndarray, disp_j: np.ndarray,
-              order: int) -> np.ndarray:
-    h, w = arr.shape
-    ii, jj = np.meshgrid(np.arange(h, dtype=float),
-                         np.arange(w, dtype=float), indexing="ij")
-    mode = "nearest" if order >= 1 else "constant"
-    out = map_coordinates(arr.astype(float), [ii + disp_i, jj + disp_j],
-                          order=order, mode=mode, cval=0.0)
-    return out.astype(arr.dtype) if order == 0 else out
-
-
-def augment(sample: Sample, rng: np.random.Generator,
-            cfg: AugmentConfig | None = None) -> Sample:
-    """Random small affine + elastic warp + noise; image and mask move together.
-
-    A zero-magnitude config is the exact identity.
-    """
-    if cfg is None:
-        cfg = AugmentConfig()
-    img, mask = sample.image, sample.mask
-    h, w = img.shape
-    changed = False
-
-    angle = rng.uniform(-cfg.rotation_deg, cfg.rotation_deg)
-    t_i = rng.uniform(-cfg.translate_frac, cfg.translate_frac) * h
-    t_j = rng.uniform(-cfg.translate_frac, cfg.translate_frac) * w
-    if angle != 0.0 or t_i != 0.0 or t_j != 0.0:
-        img = affine_warp(img, angle, (t_i, t_j), order=1)
-        mask = affine_warp(mask, angle, (t_i, t_j), order=0)
-        changed = True
-
-    if cfg.elastic_sigma > 0.0:
-        disp_i, disp_j = _elastic_displacement(h, w, cfg, rng)
-        img = _displace(img, disp_i, disp_j, order=1)
-        mask = _displace(mask, disp_i, disp_j, order=0)
-        changed = True
-
-    if cfg.noise_sigma > 0.0:
-        img = img + rng.normal(0.0, cfg.noise_sigma, size=img.shape)
-        changed = True
-
-    if not changed:
-        return sample
-    return Sample(image=zscore(img), mask=mask)
-
-
 # -- metrics ----------------------------------------------------------------------
 
 def dice_score(pred: np.ndarray, gt: np.ndarray, k: int = 1) -> float:

@@ -45,15 +45,12 @@ def _made_masks(dim: int, hidden: int, ordering: np.ndarray) -> tuple[np.ndarray
 class MafLayer:
     """One masked autoregressive layer: z_i = u_i * exp(a_i) + s_i."""
 
-    def __init__(self, dim: int, ordering: Sequence[int] | None = None,
-                 hidden: int = 32, rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, hidden: int = 32,
+                 rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = dim
         self.hidden = hidden
-        self.ordering = (np.arange(dim) if ordering is None
-                         else np.asarray(list(ordering), dtype=int))
-        if sorted(self.ordering.tolist()) != list(range(dim)):
-            raise ValueError(f"ordering must be a permutation of 0..{dim - 1}")
+        self.ordering = np.arange(dim)
         m1, m2 = _made_masks(dim, hidden, self.ordering)
         self._mask1 = Tensor(m1)
         self._mask2 = Tensor(m2)

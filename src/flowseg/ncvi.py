@@ -22,7 +22,6 @@ from .flows import FlowStack, base_log_density, flow_sample
 class Hyperpriors:
     """Fixed hyperprior constants for the hierarchical model."""
 
-    mu0: float = 0.0
     sigma0: float = 1.0
     phi_rho: float = 1e-6
     gamma_rho: float = 2.0

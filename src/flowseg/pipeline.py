@@ -19,7 +19,7 @@ import numpy as np
 
 from .container import (CHECKPOINT_MAGIC, FormatError, Reader, Writer,
                         atomic_write, unseal)
-from .data import Sample, augment, dice_score
+from .data import Sample, dice_score
 from .diffcore import (NonFiniteError, ShapeError, Tensor, backward, concat,
                        conv2d, zero_grad)
 from .flows import FlowStack, flow_push
@@ -49,6 +49,16 @@ _INT_FLOORS = {"num_classes": 2, "channels": 1, "flow_layers": 0,
                "flow_hidden": 1, "flow_kl_samples": 1, "sde_steps": 1,
                "epochs": 1, "batch_size": 1, "seed": 0}
 
+# Each float key's range beyond being finite, as (test, description).  A key
+# not listed is a hyperprior: a Gamma shape or rate, a Beta parameter or a
+# prior precision, so it must be positive.
+_POSITIVE = (lambda v: v > 0.0, "positive")
+_NONNEGATIVE = (lambda v: v >= 0.0, ">= 0")
+_FLOAT_RANGES = {"sde_horizon": _POSITIVE, "tau": _POSITIVE,
+                 "learning_rate": _POSITIVE, "lambda_bayes": _NONNEGATIVE,
+                 "weight_decay": _NONNEGATIVE,
+                 "early_stop_dice": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -71,21 +81,23 @@ class ModelConfig:
     batch_size: int = 8
     seed: int = 42
     early_stop_dice: float = 0.0
-    augment: bool = False
+    hp: Hyperpriors = Hyperpriors()
 
     def __post_init__(self):
-        for key, least in _INT_FLOORS.items():
-            if getattr(self, key) < least:
-                raise ValueError(
-                    f"{key} must be >= {least}, got {getattr(self, key)}")
+        for key, value in config_items(self).items():
+            if key in _INT_FLOORS:
+                if value < _INT_FLOORS[key]:
+                    raise ValueError(
+                        f"{key} must be >= {_INT_FLOORS[key]}, got {value}")
+            elif not isinstance(value, (bool, tuple)):
+                in_range, want = _FLOAT_RANGES.get(key, _POSITIVE)
+                if not (math.isfinite(value) and in_range(value)):
+                    raise ValueError(
+                        f"{key} must be finite and {want}, got {value}")
         h, w = self.image_size
         if h % 4 != 0 or w % 4 != 0:
             raise ValueError(
                 f"image_size must be divisible by 4 (two pooling levels), got {(h, w)}")
-        if self.sde_horizon <= 0.0:
-            raise ValueError(f"sde_horizon must be positive, got {self.sde_horizon}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
 
 
 def config_for_version(cfg: ModelConfig, version: str) -> ModelConfig:
@@ -108,11 +120,18 @@ def resumed_config(cfg: ModelConfig, epoch: int, epochs: int) -> ModelConfig:
     return replace(cfg, epochs=epochs)
 
 
-def config_items(cfg: ModelConfig, hp: Hyperpriors) -> dict:
-    """Every config and hyperprior field by name; hyperpriors take an ``hp.`` prefix."""
-    items = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    items.update({f"hp.{f.name}": getattr(hp, f.name) for f in fields(hp)})
+def config_items(cfg: ModelConfig) -> dict:
+    """Every config field by key; the fields of ``cfg.hp`` take an ``hp.`` prefix."""
+    items = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "hp"}
+    items.update({f"hp.{f.name}": getattr(cfg.hp, f.name) for f in fields(cfg.hp)})
     return items
+
+
+def config_from_items(items: dict) -> ModelConfig:
+    """The inverse of ``config_items``; keys it does not produce are ignored."""
+    hp = Hyperpriors(**{f.name: items[f"hp.{f.name}"] for f in fields(Hyperpriors)})
+    return ModelConfig(hp=hp, **{f.name: items[f.name] for f in fields(ModelConfig)
+                                 if f.name != "hp"})
 
 
 # -- parameterized blocks --------------------------------------------------------
@@ -214,14 +233,11 @@ class UNet:
 
 
 class Model:
-    """All trainable state plus the config and hyperpriors that shaped it."""
+    """All trainable state plus the config that shaped it."""
 
-    def __init__(self, cfg: ModelConfig, hp: Hyperpriors | None = None,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
+    def __init__(self, cfg: ModelConfig):
+        rng = np.random.default_rng(cfg.seed)
         self.cfg = cfg
-        self.hp = hp if hp is not None else Hyperpriors()
         self.appearance = ResEncoder(1, cfg.channels, 1, rng)
         self.shape_enc = ResEncoder(1, cfg.channels, 1, rng)
         self.seg = UNet(3, cfg.channels, cfg.num_classes, rng)
@@ -317,7 +333,7 @@ def forward(images, model: Model, mode: str = "train",
                          "evaluation uses posterior_mean")
     if rng is None:
         raise ValueError("train mode requires an rng")
-    cfg, hp = model.cfg, model.hp
+    cfg = model.cfg
     images = _as_images(images, cfg)
     b = images.shape[0]
     k = cfg.num_classes
@@ -361,9 +377,10 @@ def forward(images, model: Model, mode: str = "train",
             gsq_x = grad_sqnorm(mu_x)
             gsq_z = grad_sqnorm(mu_z)
             state = refresh_state(r.data, resp.data, gsq_x.data, gsq_z.data,
-                                  sigma_x.data, sigma_z.data, hp)
+                                  sigma_x.data, sigma_z.data, cfg.hp)
             kl_y, kl_z, kl_x, kl_m = kl_terms(
-                state, r, gsq_x, gsq_z, sigma_x, sigma_z, resp, mu_m, sigma_m, hp)
+                state, r, gsq_x, gsq_z, sigma_x, sigma_z, resp, mu_m, sigma_m,
+                cfg.hp)
         else:
             # Plain-Gaussian baseline: the segmentation posterior is the
             # only latent with a prior penalty.  Penalizing the appearance
@@ -508,14 +525,13 @@ def evaluate(samples: list[Sample], model: Model) -> float:
 
 
 def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, ...]:
-    children = np.random.SeedSequence(seed, spawn_key=(epoch,)).spawn(3)
+    children = np.random.SeedSequence(seed, spawn_key=(epoch,)).spawn(2)
     return tuple(np.random.default_rng(c) for c in children)
 
 
 def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
         out_dir: str | Path | None = None, resume: str | Path | None = None,
-        hp: Hyperpriors | None = None, progress=None
-        ) -> tuple[Model, list[dict]]:
+        progress=None) -> tuple[Model, list[dict]]:
     """Shuffled minibatch epochs with per-epoch derived RNG streams.
 
     A history row is ``epoch``, ``dice_val`` and the epoch's mean of each
@@ -532,7 +548,7 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
         model, opt_state, start_epoch = checkpoint_load(resume)
         model.cfg = resumed_config(model.cfg, start_epoch, cfg.epochs)
     else:
-        model, opt_state, start_epoch = Model(cfg, hp=hp), None, 0
+        model, opt_state, start_epoch = Model(cfg), None, 0
     cfg = model.cfg
     opt = Adam(model.named_params(), cfg.learning_rate, cfg.weight_decay)
     if opt_state is not None:
@@ -548,15 +564,13 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
     best_params: dict[str, np.ndarray] | None = None
 
     for epoch in range(start_epoch, cfg.epochs):
-        shuffle_rng, step_rng, aug_rng = _epoch_rngs(cfg.seed, epoch)
+        shuffle_rng, step_rng = _epoch_rngs(cfg.seed, epoch)
         opt.lr = cfg.learning_rate * (0.1 if epoch >= decay_at else 1.0)
         order = shuffle_rng.permutation(len(train_set))
         sums: dict[str, float] = {}
         n_steps = 0
         for i in range(0, len(order), cfg.batch_size):
             batch = [train_set[j] for j in order[i:i + cfg.batch_size]]
-            if cfg.augment:
-                batch = [augment(s, aug_rng) for s in batch]
             for key, val in train_step(batch, model, opt, step_rng).items():
                 sums[key] = sums.get(key, 0.0) + val
             n_steps += 1
@@ -591,8 +605,8 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
 _TAG_INT, _TAG_FLOAT, _TAG_BOOL, _TAG_PAIR = 0, 1, 2, 3
 
 
-def _pack_config(out: Writer, cfg: ModelConfig, hp: Hyperpriors) -> None:
-    items = config_items(cfg, hp)
+def _pack_config(out: Writer, cfg: ModelConfig) -> None:
+    items = config_items(cfg)
     out.put("<H", len(items))
     for name in sorted(items):
         value = items[name]
@@ -609,7 +623,7 @@ def _pack_config(out: Writer, cfg: ModelConfig, hp: Hyperpriors) -> None:
             raise ValueError(f"cannot serialize config field {name}={value!r}")
 
 
-def _unpack_config(body: Reader) -> tuple[ModelConfig, Hyperpriors]:
+def _unpack_config(body: Reader) -> ModelConfig:
     (count,) = body.take("<H")
     items = {}
     for _ in range(count):
@@ -625,10 +639,13 @@ def _unpack_config(body: Reader) -> tuple[ModelConfig, Hyperpriors]:
             items[name] = body.take("<qq")
         else:
             raise FormatError(f"unknown config field tag {tag} for {name!r}")
-    cfg_kwargs = {k: v for k, v in items.items() if not k.startswith("hp.")}
-    hp_kwargs = {k[3:]: v for k, v in items.items() if k.startswith("hp.")}
+    keys = config_items(ModelConfig()).keys()
+    unknown, missing = sorted(items.keys() - keys), sorted(keys - items.keys())
+    if unknown or missing:
+        raise FormatError("config block does not match this build: "
+                          f"unknown keys {unknown}, missing keys {missing}")
     try:
-        return ModelConfig(**cfg_kwargs), Hyperpriors(**hp_kwargs)
+        return config_from_items(items)
     except TypeError as exc:
         raise FormatError(f"config block does not match this build: {exc}") from exc
 
@@ -664,7 +681,7 @@ def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
     sections.append(("epoch", np.array(float(epoch))))
 
     out = Writer(CHECKPOINT_MAGIC)
-    _pack_config(out, model.cfg, model.hp)
+    _pack_config(out, model.cfg)
     out.put("<I", len(sections))
     for name, arr in sections:
         _pack_section(out, name, arr)
@@ -674,7 +691,7 @@ def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
 def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
     """Rebuild (model, optimizer state, epoch) from a checkpoint file."""
     body = unseal(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
-    cfg, hp = _unpack_config(body)
+    cfg = _unpack_config(body)
     (n_sections,) = body.take("<I")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_sections):
@@ -683,7 +700,7 @@ def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
     if body.remaining:
         raise FormatError(f"{body.remaining} trailing bytes after sections")
 
-    model = Model(cfg, hp=hp)
+    model = Model(cfg)
     names = [name for name, _ in model.named_params()]
     missing = [n for n in names if n not in arrays]
     if missing:

@@ -123,13 +123,15 @@ def test_config_file_applies_and_echoes(tmp_path):
 
 
 def test_config_unknown_key_names_line(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("epochs = 1\nnot_a_key = 7\n")
-    code = cli.main(["gen-data", "--config", str(cfg), "--domain", "A",
-                     "--n", "3", "--out", str(tmp_path / "x.dbfd")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert ":2:" in err and "not_a_key" in err
+    # Keys that older builds had, and this one does not, are unknown too.
+    for key in ("not_a_key", "augment", "hp.mu0"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"epochs = 1\n{key} = 0\n")
+        code = cli.main(["gen-data", "--config", str(cfg), "--domain", "A",
+                         "--n", "3", "--out", str(tmp_path / "x.dbfd")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ":2:" in err and key in err
 
 
 def test_config_malformed_line(tmp_path, capsys):
@@ -336,6 +338,26 @@ def test_train_integer_key_at_zero_or_below(work, tmp_path, capsys, key,
         assert key in err or work["a"].name in err
     if (key, value) in _REJECTED:
         assert code == 2
+
+
+# The float keys at which training runs; every other point of the sweep below
+# is rejected by name.
+_FLOAT_ACCEPTED = {("weight_decay", "0"), ("lambda_bayes", "0"),
+                   ("early_stop_dice", "0")}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("key", sorted(k for k, v in cli.default_config().items()
+                                       if isinstance(v, float)))
+def test_train_float_key_out_of_range(work, tmp_path, capsys, key, value):
+    code = cli.main(["train", "--data", str(work["a"]),
+                     "--out", str(tmp_path / "out")]
+                    + FAST + ["--set", f"{key}={value}"])
+    if (key, value) in _FLOAT_ACCEPTED:
+        assert code == 0
+    else:
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 def test_train_geometry_conflict_is_config_error(work, tmp_path, capsys):
@@ -550,6 +572,30 @@ def test_inspect_truncated_dataset(work, tmp_path):
     cut = tmp_path / "cut.dbfd"
     cut.write_bytes(work["a"].read_bytes()[:40])
     assert cli.main(["inspect", str(cut)]) == 3
+
+
+@pytest.mark.parametrize("key", ["tau", "hp.phi_rho", "augment", "hp.mu0"])
+def test_inspect_rejects_config_block_of_another_build(work, tmp_path, capsys,
+                                                       monkeypatch, key):
+    # Save with the key dropped from the config block, or with a key of an
+    # older build added: neither may load with a default filled in.
+    model, _, _ = pl.checkpoint_load(work["ckpt"])
+    real_items = pl.config_items
+
+    def items(cfg):
+        out = real_items(cfg)
+        if key in out:
+            del out[key]
+        else:
+            out[key] = {"augment": False, "hp.mu0": 0.0}[key]
+        return out
+
+    monkeypatch.setattr(pl, "config_items", items)
+    path = tmp_path / "other.dbfc"
+    pl.checkpoint_save(model, path)
+    monkeypatch.undo()
+    assert cli.main(["inspect", str(path)]) == 3
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_corrupt_section_shape_is_format_error(work, tmp_path, capsys):

@@ -50,10 +50,10 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     model, opt = _fixed_checkpoint()
     pl.checkpoint_save(model, path, opt=opt, epoch=5)
     raw = path.read_bytes()
-    assert len(raw) == 64894
+    assert len(raw) == 64866
     assert raw[:6] == b"DBFC\x01\x00"
-    assert zlib.crc32(raw[:-4]) == 0x208DC0DE
-    assert raw[-4:] == (0x208DC0DE).to_bytes(4, "little")
+    assert zlib.crc32(raw[:-4]) == 0x04C206D6
+    assert raw[-4:] == (0x04C206D6).to_bytes(4, "little")
 
 
 @pytest.mark.parametrize("kind", ["dataset", "checkpoint"])

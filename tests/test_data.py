@@ -1,4 +1,4 @@
-"""Tests for synthetic data generation, augmentation, metrics, persistence."""
+"""Tests for synthetic data generation, metrics, persistence."""
 
 import struct
 import zlib
@@ -6,18 +6,9 @@ import zlib
 import numpy as np
 import pytest
 
-from flowseg.data import (DOMAINS, AugmentConfig, BlobConfig, DomainConfig,
-                          FormatError, Sample, affine_warp, augment,
-                          dataset_load, dataset_meta, dataset_save, dice_score,
-                          gen_dataset, pgm_write, zscore)
-
-
-def invert_affine(angle_deg, translate):
-    """Parameters (angle', t') such that warping twice is the identity map."""
-    a = np.deg2rad(angle_deg)
-    rot_back = np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
-    t_inv = -rot_back @ np.asarray(translate, dtype=float)
-    return -angle_deg, (float(t_inv[0]), float(t_inv[1]))
+from flowseg.data import (DOMAINS, BlobConfig, DomainConfig, FormatError,
+                          Sample, dataset_load, dataset_meta, dataset_save,
+                          dice_score, gen_dataset, pgm_write, zscore)
 
 
 def _clean_domain(**overrides):
@@ -108,61 +99,6 @@ def test_domain_config_validation():
 def test_zscore_rejects_constant_image():
     with pytest.raises(ValueError):
         zscore(np.full((4, 4), 3.0))
-
-
-# -- augmentation ------------------------------------------------------------------
-
-def test_zero_magnitude_augment_is_identity():
-    s = gen_dataset(DOMAINS["A"], 1)[0]
-    cfg = AugmentConfig(rotation_deg=0.0, translate_frac=0.0,
-                        elastic_sigma=0.0, noise_sigma=0.0)
-    out = augment(s, np.random.default_rng(0), cfg)
-    np.testing.assert_array_equal(out.image, s.image)
-    np.testing.assert_array_equal(out.mask, s.mask)
-
-
-def test_augment_preserves_label_set_and_zscore():
-    s = gen_dataset(DOMAINS["A"], 1)[0]
-    out = augment(s, np.random.default_rng(1))
-    assert set(np.unique(out.mask)) == set(np.unique(s.mask))
-    assert abs(out.image.mean()) < 1e-6
-    assert abs(out.image.std() - 1.0) < 1e-6
-
-
-def test_augment_deterministic_under_seed():
-    s = gen_dataset(DOMAINS["B"], 1)[0]
-    a = augment(s, np.random.default_rng(5))
-    b = augment(s, np.random.default_rng(5))
-    np.testing.assert_array_equal(a.image, b.image)
-    np.testing.assert_array_equal(a.mask, b.mask)
-
-
-def test_affine_roundtrip_recovers_mask():
-    s = gen_dataset(DOMAINS["A"], 1)[0]
-    angle, translate = 8.0, (2.5, -1.8)
-    warped = affine_warp(s.mask, angle, translate, order=0)
-    inv_angle, inv_translate = invert_affine(angle, translate)
-    recovered = affine_warp(warped, inv_angle, inv_translate, order=0)
-    assert dice_score(recovered, s.mask) > 0.95
-
-
-def test_affine_identity_parameters():
-    s = gen_dataset(DOMAINS["A"], 1)[0]
-    out = affine_warp(s.image, 0.0, (0.0, 0.0), order=1)
-    np.testing.assert_allclose(out, s.image, atol=1e-12)
-
-
-def test_invert_affine_composition_is_identity_map():
-    angle, translate = -7.0, (1.0, 3.0)
-    inv_angle, inv_translate = invert_affine(angle, translate)
-    # Composing the two pull-affines must fix an arbitrary point.
-    c = np.array([31.5, 31.5])
-    p = np.array([10.0, 50.0])
-    rot = lambda a: np.array([[np.cos(np.deg2rad(a)), -np.sin(np.deg2rad(a))],
-                              [np.sin(np.deg2rad(a)), np.cos(np.deg2rad(a))]])
-    q = rot(inv_angle) @ (p - c) + c + np.asarray(inv_translate)
-    r = rot(angle) @ (q - c) + c + np.asarray(translate)
-    np.testing.assert_allclose(r, p, atol=1e-10)
 
 
 # -- dice ---------------------------------------------------------------------------

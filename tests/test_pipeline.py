@@ -1,11 +1,16 @@
 """Pipeline tests: forward contract, toggles, training dynamics, checkpoints."""
 
+import re
+from dataclasses import fields, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import flowseg.data as fd
 import flowseg.diffcore as dc
 import flowseg.pipeline as pl
+from flowseg.ncvi import Hyperpriors
 
 # -- helpers --------------------------------------------------------------------
 
@@ -55,6 +60,30 @@ def test_config_validation():
         pl.ModelConfig(tau=0.0)
     with pytest.raises(ValueError, match="sde_steps"):
         pl.ModelConfig(sde_steps=0)
+    with pytest.raises(ValueError, match="sde_horizon"):
+        pl.ModelConfig(sde_horizon=float("nan"))
+    with pytest.raises(ValueError, match="early_stop_dice"):
+        pl.ModelConfig(early_stop_dice=1.5)
+    with pytest.raises(ValueError, match="hp.phi_omega"):
+        pl.ModelConfig(hp=Hyperpriors(phi_omega=-1.0))
+
+
+def test_config_items_round_trip():
+    cfg = _tiny_cfg(hp=Hyperpriors(phi_rho=1e-3, beta_pi=3.0))
+    items = pl.config_items(cfg)
+    assert items["hp.beta_pi"] == 3.0
+    assert pl.config_from_items(items) == cfg
+    assert len(pl.config_items(pl.ModelConfig())) == 28
+
+
+def test_every_config_field_is_read():
+    # A field that no module reads is a setting that changes nothing.
+    src = "".join(path.read_text()
+                  for path in Path(pl.__file__).parent.glob("*.py"))
+    for cls in (pl.ModelConfig, Hyperpriors):
+        for f in fields(cls):
+            assert re.search(rf"\.{f.name}\b", src), \
+                f"{cls.__name__}.{f.name} is never read"
 
 
 def test_config_for_version():
@@ -401,7 +430,7 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     assert epoch == 7
     assert opt_state["t"] == opt.t
     assert model2.cfg == model.cfg
-    assert model2.hp == model.hp
+    assert model2.cfg.hp == model.cfg.hp
     for (na, pa), (nb, pb) in zip(model.named_params(), model2.named_params()):
         assert na == nb
         assert np.array_equal(pa.data, pb.data)
@@ -412,13 +441,12 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
 
 
 def test_checkpoint_preserves_custom_hyperpriors(tmp_path):
-    from flowseg.ncvi import Hyperpriors
     hp = Hyperpriors(phi_rho=1e-3, gamma_omega=5.0)
-    model = pl.Model(_tiny_cfg(), hp=hp)
+    model = pl.Model(replace(_tiny_cfg(), hp=hp))
     path = tmp_path / "hp.dbfc"
     pl.checkpoint_save(model, path)
     model2, _, _ = pl.checkpoint_load(path)
-    assert model2.hp == hp
+    assert model2.cfg.hp == hp
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
