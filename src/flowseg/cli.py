@@ -26,7 +26,8 @@ from .data import (DOMAINS, dataset_load, dataset_meta, dataset_save,
 from .diffcore import NonFiniteError
 from .pipeline import (ModelConfig, VERSION_TOGGLES, checkpoint_load,
                        config_for_version, config_from_items, config_items,
-                       evaluate, fit, forward, resumed_config)
+                       config_text, evaluate, fit, format_value, forward,
+                       parse_value, resumed_config)
 
 
 class ConfigError(ValueError):
@@ -47,19 +48,8 @@ _ALLOWED_KEYS = set(default_config())
 
 def _parse_value(key: str, raw: str):
     """Parse ``raw`` as the type of the key's default value."""
-    raw = raw.strip()
-    default = default_config()[key]
     try:
-        if isinstance(default, bool):
-            if raw not in ("true", "false"):
-                raise ValueError(f"expected true/false, got {raw!r}")
-            return raw == "true"
-        if isinstance(default, tuple):
-            h, _, w = raw.partition("x")
-            return (int(h), int(w))
-        if isinstance(default, str):
-            return raw
-        return type(default)(raw)
+        return parse_value(default_config()[key], raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
@@ -73,16 +63,6 @@ def _parse_setting(text: str, where: str) -> tuple[str, object]:
     if key not in _ALLOWED_KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     return key, _parse_value(key, raw)
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return f"{value[0]}x{value[1]}"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -122,8 +102,7 @@ def effective_config(args) -> tuple[dict, set]:
 
 
 def write_config_echo(cfg: dict, path: Path) -> None:
-    lines = [f"{key} = {_format_value(cfg[key])}" for key in sorted(cfg)]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(config_text(cfg))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -222,8 +201,8 @@ def _resumed_config(cfg: dict, explicit: set, ckpt) -> dict:
     for key in sorted(explicit & (saved.keys() - {"epochs"})):
         if cfg[key] != saved[key]:
             raise ConfigError(
-                f"--resume: {key} = {_format_value(cfg[key])} but the checkpoint "
-                f"has {key} = {_format_value(saved[key])}")
+                f"--resume: {key} = {format_value(cfg[key])} but the checkpoint "
+                f"has {key} = {format_value(saved[key])}")
     resumed = resumed_config(model.cfg, epoch, cfg["epochs"])
     return {**cfg, **config_items(resumed)}
 
@@ -316,7 +295,7 @@ def cmd_ablate(args) -> int:
               f"{avg_targets:.4f}", flush=True)
 
     _write_csv(run_dir / "ablate.csv", header,
-               [[_format_value(v) if isinstance(v, bool) else v for v in row]
+               [[format_value(v) if isinstance(v, bool) else v for v in row]
                 for row in rows])
     delta = summary["ver5"] - summary["ver1"]
     print(f"ver5 - ver1 target average: {delta:+.4f} (reported, not gated)")
@@ -378,9 +357,8 @@ def cmd_inspect(args) -> int:
     print(f"tensors: {len(named)}")
     print(f"parameters: {sum(p.data.size for _, p in named)}")
     print(f"optimizer_state: {'yes' if opt_state is not None else 'no'}")
-    for key in ("num_classes", "image_size", "nf_posterior", "ncvi",
-                "sde_girsanov", "channels", "seed"):
-        print(f"{key}: {_format_value(getattr(model.cfg, key))}")
+    for key, value in config_items(model.cfg).items():
+        print(f"{key}: {format_value(value)}")
     return 0
 
 

@@ -77,7 +77,10 @@ class Reader:
 
     def take_str(self) -> str:
         (length,) = self.take("<H")
-        return str(self.take_bytes(length), "utf-8")
+        try:
+            return str(self.take_bytes(length), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"string at offset {self.pos - length} is not UTF-8") from exc
 
 
 def _check_prefix(raw, magic: bytes, path, min_size: int) -> None:

@@ -45,9 +45,7 @@ def _made_masks(dim: int, hidden: int, ordering: np.ndarray) -> tuple[np.ndarray
 class MafLayer:
     """One masked autoregressive layer: z_i = u_i * exp(a_i) + s_i."""
 
-    def __init__(self, dim: int, hidden: int = 32,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, dim: int, hidden: int = 32, *, rng: np.random.Generator):
         self.dim = dim
         self.hidden = hidden
         self.ordering = np.arange(dim)
@@ -122,13 +120,14 @@ class FlowStack:
         self.dim = dim
 
     @classmethod
-    def create(cls, dim: int, n_maf: int = 4, hidden: int = 32,
-               rng: np.random.Generator | None = None) -> "FlowStack":
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def create(cls, dim: int, n_maf: int = 4, hidden: int = 32, *,
+               rng: np.random.Generator) -> "FlowStack":
         layers: list[MafLayer | ReversePermutation] = []
         for _ in range(n_maf):
             layers.append(MafLayer(dim, hidden=hidden, rng=rng))
             layers.append(ReversePermutation(dim))
+        if n_maf % 2:
+            layers.pop()  # an odd reversal count would start at a permutation
         return cls(layers, dim)
 
     def params(self) -> list[Tensor]:

@@ -134,6 +134,35 @@ def config_from_items(items: dict) -> ModelConfig:
                                  if f.name != "hp"})
 
 
+def format_value(value) -> str:
+    """The text form of one config value; ``parse_value`` reads it back."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return f"{value[0]}x{value[1]}"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def parse_value(default, raw: str):
+    """Parse ``raw`` as the type of ``default``; raises ``ValueError``."""
+    raw = raw.strip()
+    if isinstance(default, bool):
+        if raw not in ("true", "false"):
+            raise ValueError(f"expected true/false, got {raw!r}")
+        return raw == "true"
+    if isinstance(default, tuple):
+        h, _, w = raw.partition("x")
+        return (int(h), int(w))
+    return type(default)(raw)
+
+
+def config_text(items: dict) -> str:
+    """One ``key = value`` line per key, in sorted key order."""
+    return "".join(f"{key} = {format_value(items[key])}\n" for key in sorted(items))
+
+
 # -- parameterized blocks --------------------------------------------------------
 
 def _bounded_log_var(t: Tensor) -> Tensor:
@@ -602,52 +631,21 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
 
 # -- checkpoints ------------------------------------------------------------------------
 
-_TAG_INT, _TAG_FLOAT, _TAG_BOOL, _TAG_PAIR = 0, 1, 2, 3
-
-
-def _pack_config(out: Writer, cfg: ModelConfig) -> None:
-    items = config_items(cfg)
-    out.put("<H", len(items))
-    for name in sorted(items):
-        value = items[name]
-        out.put_str(name)
-        if isinstance(value, bool):
-            out.put("<BB", _TAG_BOOL, int(value))
-        elif isinstance(value, int):
-            out.put("<Bq", _TAG_INT, value)
-        elif isinstance(value, float):
-            out.put("<Bd", _TAG_FLOAT, value)
-        elif isinstance(value, tuple) and len(value) == 2:
-            out.put("<Bqq", _TAG_PAIR, int(value[0]), int(value[1]))
-        else:
-            raise ValueError(f"cannot serialize config field {name}={value!r}")
-
-
-def _unpack_config(body: Reader) -> ModelConfig:
-    (count,) = body.take("<H")
-    items = {}
-    for _ in range(count):
-        name = body.take_str()
-        (tag,) = body.take("<B")
-        if tag == _TAG_BOOL:
-            items[name] = bool(body.take("<B")[0])
-        elif tag == _TAG_INT:
-            items[name] = int(body.take("<q")[0])
-        elif tag == _TAG_FLOAT:
-            items[name] = float(body.take("<d")[0])
-        elif tag == _TAG_PAIR:
-            items[name] = body.take("<qq")
-        else:
-            raise FormatError(f"unknown config field tag {tag} for {name!r}")
-    keys = config_items(ModelConfig()).keys()
+def _unpack_config(body: Reader, path: str | Path) -> ModelConfig:
+    """Read the config block, which is ``config_text`` of the config's items."""
+    defaults = config_items(ModelConfig())
+    lines = [line.partition(" = ") for line in body.take_str().splitlines()]
+    items = {name: raw for name, _, raw in lines}
+    keys = defaults.keys()
     unknown, missing = sorted(items.keys() - keys), sorted(keys - items.keys())
     if unknown or missing:
-        raise FormatError("config block does not match this build: "
+        raise FormatError(f"{path}: config block does not match this build: "
                           f"unknown keys {unknown}, missing keys {missing}")
     try:
-        return config_from_items(items)
-    except TypeError as exc:
-        raise FormatError(f"config block does not match this build: {exc}") from exc
+        return config_from_items({name: parse_value(defaults[name], raw)
+                                  for name, raw in items.items()})
+    except ValueError as exc:
+        raise FormatError(f"{path}: config block: {exc}") from exc
 
 
 def _pack_section(out: Writer, name: str, arr: np.ndarray) -> None:
@@ -681,7 +679,7 @@ def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
     sections.append(("epoch", np.array(float(epoch))))
 
     out = Writer(CHECKPOINT_MAGIC)
-    _pack_config(out, model.cfg)
+    out.put_str(config_text(config_items(model.cfg)))
     out.put("<I", len(sections))
     for name, arr in sections:
         _pack_section(out, name, arr)
@@ -691,7 +689,7 @@ def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
 def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
     """Rebuild (model, optimizer state, epoch) from a checkpoint file."""
     body = unseal(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
-    cfg = _unpack_config(body)
+    cfg = _unpack_config(body, path)
     (n_sections,) = body.take("<I")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_sections):

@@ -14,6 +14,7 @@ import pytest
 import flowseg.cli as cli
 import flowseg.data as fd
 import flowseg.pipeline as pl
+from flowseg.container import CHECKPOINT_MAGIC, unseal
 from flowseg.diffcore import NonFiniteError
 
 # Small geometry that the default blob parameters still fit into.
@@ -161,25 +162,37 @@ def test_parse_value_types():
         cli._parse_value("epochs", "two")
 
 
+def _other(value):
+    """A second valid value of the same type as a config default."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, tuple):
+        return (value[0] + 4, value[1] + 8)
+    if isinstance(value, str):
+        return value + "x"
+    return value + 3 if isinstance(value, int) else value * 1.5 + 0.1
+
+
 def test_every_config_key_round_trips_through_echo(tmp_path):
     # Defaults, then a second value of the same type for every key.
-    def other(value):
-        if isinstance(value, bool):
-            return not value
-        if isinstance(value, tuple):
-            return (value[0] + 4, value[1] + 8)
-        if isinstance(value, str):
-            return value + "x"
-        return value + 3 if isinstance(value, int) else value * 1.5 + 0.1
-
     defaults = cli.default_config()
-    for cfg in (defaults, {k: other(v) for k, v in defaults.items()}):
+    for cfg in (defaults, {k: _other(v) for k, v in defaults.items()}):
         path = tmp_path / "echo.cfg"
         cli.write_config_echo(cfg, path)
         back = cli.read_config_file(path)
         assert back == cfg
         assert {k: type(v) for k, v in back.items()} == \
             {k: type(v) for k, v in cfg.items()}
+
+
+def test_every_model_key_round_trips_through_checkpoint(tmp_path):
+    items = {k: _other(v) for k, v in pl.config_items(pl.ModelConfig()).items()}
+    path = tmp_path / "other.dbfc"
+    pl.checkpoint_save(pl.Model(pl.config_from_items(items)), path)
+    back = pl.config_items(pl.checkpoint_load(path)[0].cfg)
+    assert back == items
+    assert {k: type(v) for k, v in back.items()} == \
+        {k: type(v) for k, v in items.items()}
 
 
 # -- train -------------------------------------------------------------------------
@@ -596,6 +609,41 @@ def test_inspect_rejects_config_block_of_another_build(work, tmp_path, capsys,
     monkeypatch.undo()
     assert cli.main(["inspect", str(path)]) == 3
     assert repr(key) in capsys.readouterr().err
+
+
+def test_checkpoint_config_block_is_the_echo_text(work):
+    keys = pl.config_items(pl.ModelConfig()).keys()
+    echo = (work["run"] / "config.echo").read_text().splitlines(keepends=True)
+    model_lines = "".join(line for line in echo if line.split(" = ")[0] in keys)
+    for name in ("ckpt-best.dbfc", "ckpt-last.dbfc"):
+        path = work["run"] / name
+        block = unseal(path.read_bytes(), CHECKPOINT_MAGIC, path).take_str()
+        assert block == model_lines
+
+
+def test_out_of_range_config_block_exits_3_naming_the_file(work, tmp_path, capsys):
+    model, _, _ = pl.checkpoint_load(work["ckpt"])
+    object.__setattr__(model.cfg, "tau", float("nan"))
+    path = tmp_path / "nan_tau.dbfc"
+    pl.checkpoint_save(model, path)
+    assert cli.main(["inspect", str(path)]) == 3
+    assert (f"error: {path}: config block: tau must be finite and positive, "
+            "got nan") in capsys.readouterr().err
+    assert cli.main(["eval", "--ckpt", str(path), "--out", str(tmp_path / "e.csv"),
+                     str(work["c"])]) == 3
+    assert str(path) in capsys.readouterr().err
+
+
+def test_undecodable_section_name_is_format_error(work, tmp_path, capsys):
+    # Reseal the checkpoint with byte 0xff in the epoch section's name.
+    raw = work["ckpt"].read_bytes()[:-4]
+    assert raw.count(b"\x05\x00epoch") == 1
+    raw = raw.replace(b"\x05\x00epoch", b"\x05\x00\xffpoch")
+    bad = tmp_path / "bad_name.dbfc"
+    bad.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+    assert cli.main(["inspect", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "string at offset" in err and "is not UTF-8" in err
 
 
 def test_corrupt_section_shape_is_format_error(work, tmp_path, capsys):

