@@ -2,10 +2,10 @@
 """Normalizing-flow posteriors: exact invertibility, tracked log-determinants,
 and a density that actually integrates to one.
 
-The stack alternates masked-autoregressive layers with order reversals.  The
-output layers are zero-initialized, so a freshly built stack is the identity
-map; randomizing those layers produces a genuinely warped distribution while
-keeping the inverse exact.
+The stack is masked-autoregressive layers whose orderings alternate between
+forward and reversed.  The output layers are zero-initialized, so a freshly
+built stack is the identity map; randomizing those layers produces a
+genuinely warped distribution while keeping the inverse exact.
 """
 
 import math
@@ -28,9 +28,8 @@ print(f"fresh stack: max |push(u) - u| = {np.abs(z.data - u).max():.2e} "
       f"(identity), max |logdet| = {np.abs(logdet.data).max():.2e}")
 
 for layer in stack.layers:
-    if isinstance(layer, MafLayer):
-        layer.w2.assign(rng.normal(size=layer.w2.shape) * 0.3)
-        layer.b2.assign(rng.normal(size=layer.b2.shape) * 0.3)
+    layer.w2.assign(rng.normal(size=layer.w2.shape) * 0.3)
+    layer.b2.assign(rng.normal(size=layer.b2.shape) * 0.3)
 
 u = rng.normal(size=(200, 4))
 z, logdet = flow_push(stack, u)
@@ -46,9 +45,8 @@ print("=" * 70)
 
 stack1 = FlowStack.create(1, n_maf=4, rng=rng)
 for layer in stack1.layers:
-    if isinstance(layer, MafLayer):
-        layer.w2.assign(rng.normal(size=layer.w2.shape) * 0.5)
-        layer.b2.assign(rng.normal(size=layer.b2.shape) * 0.5)
+    layer.w2.assign(rng.normal(size=layer.w2.shape) * 0.5)
+    layer.b2.assign(rng.normal(size=layer.b2.shape) * 0.5)
 
 xs = np.linspace(-10.0, 10.0, 4001)
 logq = flow_log_density(stack1, xs.reshape(-1, 1))

@@ -240,7 +240,7 @@ def cmd_train(args) -> int:
               f"dice {row['dice_val']:.4f}", flush=True)
 
     fit(train_samples, val_samples, model_cfg, out_dir=run_dir,
-        resume=args.resume, progress=record)
+        resume=ckpt, progress=record)
     best = max(row["dice_val"] for row in history)
     print(f"best validation dice {best:.4f}; artifacts in {run_dir}")
     return 0
@@ -398,7 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     e = subs.add_parser("eval", help="evaluate a checkpoint on datasets")
-    _add_common(e)
     e.add_argument("--ckpt", required=True)
     e.add_argument("--source", help="source-domain dataset (reported, "
                                     "excluded from the target average)")
@@ -416,7 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("sample-posterior",
                         help="draw posterior segmentation samples")
-    _add_common(s)
+    s.add_argument("--seed", type=int,
+                   help="sampling seed (default: the checkpoint's seed)")
     s.add_argument("--ckpt", required=True)
     s.add_argument("--data", required=True, help=".dbfd file to sample from")
     s.add_argument("--index", type=int, default=0, help="image index")

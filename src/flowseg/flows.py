@@ -1,11 +1,13 @@
 """Masked autoregressive flows over K-dimensional rows.
 
-A stack alternates MAF layers with coordinate reversals and starts exactly
-at the identity map: conditioner output layers are zero-initialized, and
-the reversal count is even.  The forward (push) direction is one masked
-conditioner pass; the inverse recovers coordinates sequentially in ordering
-position, one conditioner pass per coordinate.  Log-scales are bounded to
-(-7, 7) so Jacobian factors stay finite.
+A stack is MAF layers only, with alternating MADE orderings: odd layers
+order their coordinates last to first, which is MAF's reversal between
+layers moved into the masks.  Conditioner output layers are
+zero-initialized, so a fresh stack is exactly the identity map at every
+depth.  The forward (push) direction is one masked conditioner pass; the
+inverse recovers coordinates sequentially in ordering position, one
+conditioner pass per coordinate.  Log-scales are bounded to (-7, 7) so
+Jacobian factors stay finite.
 """
 
 from __future__ import annotations
@@ -43,17 +45,23 @@ def _made_masks(dim: int, hidden: int, ordering: np.ndarray) -> tuple[np.ndarray
 
 
 class MafLayer:
-    """One masked autoregressive layer: z_i = u_i * exp(a_i) + s_i."""
+    """One masked autoregressive layer: z_i = u_i * exp(a_i) + s_i.
 
-    def __init__(self, dim: int, hidden: int = 32, *, rng: np.random.Generator):
+    With ``reverse`` the ordering runs last to first: the layer maps u to
+    rev(L(rev(u))) for the identity-ordered layer L with the same draw.
+    """
+
+    def __init__(self, dim: int, hidden: int = 32, *, reverse: bool = False,
+                 rng: np.random.Generator):
         self.dim = dim
         self.hidden = hidden
-        self.ordering = np.arange(dim)
+        self.ordering = np.arange(dim)[::-1] if reverse else np.arange(dim)
         m1, m2 = _made_masks(dim, hidden, self.ordering)
         self._mask1 = Tensor(m1)
         self._mask2 = Tensor(m2)
-        self.w1 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(max(dim, 1)), (dim, hidden)),
-                         requires_grad=True)
+        # input rows follow the ordering
+        w1 = rng.normal(0.0, 1.0 / math.sqrt(max(dim, 1)), (dim, hidden))
+        self.w1 = Tensor(w1[self.ordering], requires_grad=True)
         self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
         # zero-initialized output layer: the layer starts as the identity map
         self.w2 = Tensor(np.zeros((hidden, 2 * dim)), requires_grad=True)
@@ -93,42 +101,18 @@ class MafLayer:
         return u, logdet_inv
 
 
-class ReversePermutation:
-    """Coordinate reversal; volume preserving."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def params(self) -> list[Tensor]:
-        return []
-
-    def _rev(self, x: Tensor) -> Tensor:
-        return concat([x.slice(1, i, i + 1) for i in reversed(range(self.dim))], axis=1)
-
-    def forward(self, u: Tensor) -> tuple[Tensor, Tensor]:
-        return self._rev(u), Tensor(np.zeros(u.shape[0]))
-
-    def inverse(self, z: Tensor) -> tuple[Tensor, Tensor]:
-        return self._rev(z), Tensor(np.zeros(z.shape[0]))
-
-
 class FlowStack:
-    """Alternating MAF / reversal layers over a standard normal base."""
+    """MAF layers over a standard normal base; odd layers run reversed."""
 
-    def __init__(self, layers: Sequence[MafLayer | ReversePermutation], dim: int):
+    def __init__(self, layers: Sequence[MafLayer], dim: int):
         self.layers = list(layers)
         self.dim = dim
 
     @classmethod
     def create(cls, dim: int, n_maf: int = 4, hidden: int = 32, *,
                rng: np.random.Generator) -> "FlowStack":
-        layers: list[MafLayer | ReversePermutation] = []
-        for _ in range(n_maf):
-            layers.append(MafLayer(dim, hidden=hidden, rng=rng))
-            layers.append(ReversePermutation(dim))
-        if n_maf % 2:
-            layers.pop()  # an odd reversal count would start at a permutation
-        return cls(layers, dim)
+        return cls([MafLayer(dim, hidden, reverse=bool(i % 2), rng=rng)
+                    for i in range(n_maf)], dim)
 
     def params(self) -> list[Tensor]:
         out: list[Tensor] = []

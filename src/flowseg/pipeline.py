@@ -456,11 +456,18 @@ class Adam:
             p.assign(p.data - self.lr * update)
 
     def load_state(self, state: dict) -> None:
-        """Restore step count and moments; every parameter needs both moments."""
+        """Restore step count and moments; every parameter needs both moments,
+        each of its own shape."""
         missing = [name for name, _ in self.named
                    if name not in state["m"] or name not in state["v"]]
         if missing:
             raise FormatError(f"optimizer state is missing moments for: {missing}")
+        misshapen = [name for name, p in self.named
+                     if state["m"][name].shape != p.data.shape
+                     or state["v"][name].shape != p.data.shape]
+        if misshapen:
+            raise FormatError(f"optimizer moments differ in shape from their "
+                              f"parameters for: {misshapen}")
         self.t = int(state["t"])
         for name, _ in self.named:
             self.m[name] = state["m"][name].copy()
@@ -559,7 +566,8 @@ def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, ...]:
 
 
 def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
-        out_dir: str | Path | None = None, resume: str | Path | None = None,
+        out_dir: str | Path | None = None,
+        resume: tuple[Model, dict | None, int] | None = None,
         progress=None) -> tuple[Model, list[dict]]:
     """Shuffled minibatch epochs with per-epoch derived RNG streams.
 
@@ -567,14 +575,14 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
     ``train_step`` term; ``progress`` gets each row as its epoch ends.
     Checkpoints go to out_dir (ckpt-last every epoch, ckpt-best at the best
     validation Dice); the returned model carries the best parameters.
-    Resuming restores parameters, optimizer moments, and epoch numbering,
-    reproducing the unbroken trajectory because every stream is re-derived
-    from (seed, epoch).
+    ``resume`` is what ``checkpoint_load`` returned; resuming continues its
+    model with its optimizer moments and epoch numbering, reproducing the
+    unbroken trajectory because every stream is re-derived from (seed, epoch).
     """
     if not train_set or not val_set:
         raise ValueError("fit needs nonempty train and validation sets")
     if resume is not None:
-        model, opt_state, start_epoch = checkpoint_load(resume)
+        model, opt_state, start_epoch = resume
         model.cfg = resumed_config(model.cfg, start_epoch, cfg.epochs)
     else:
         model, opt_state, start_epoch = Model(cfg), None, 0

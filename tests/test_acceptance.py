@@ -29,9 +29,8 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def _randomize_flow(stack: fl.FlowStack, rng: np.random.Generator,
                     scale: float = 0.1) -> None:
     for layer in stack.layers:
-        if isinstance(layer, fl.MafLayer):
-            layer.w2.assign(rng.normal(size=layer.w2.shape) * scale)
-            layer.b2.assign(rng.normal(size=layer.b2.shape) * scale)
+        layer.w2.assign(rng.normal(size=layer.w2.shape) * scale)
+        layer.b2.assign(rng.normal(size=layer.b2.shape) * scale)
 
 
 # -- 1: flow correctness -------------------------------------------------------------
@@ -378,9 +377,8 @@ def test_criterion_07_autodiff():
                          sde_steps=4, seed=1)
     model = pl.Model(cfg)
     for layer in model.flow.layers:
-        if isinstance(layer, fl.MafLayer):
-            layer.w2.assign(np.random.default_rng(5).normal(
-                size=layer.w2.shape) * 0.1)
+        layer.w2.assign(np.random.default_rng(5).normal(
+            size=layer.w2.shape) * 0.1)
     target = np.zeros((1, 2, 8, 8))
     target[0, 0] = 1.0
     target_t = Tensor(target)

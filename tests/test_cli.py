@@ -288,6 +288,22 @@ def test_train_resume_geometry_mismatch(work, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("moment", ["m", "v"])
+def test_train_resume_rejects_misshapen_moment(work, tmp_path, capsys, moment):
+    # A (1,) moment would broadcast over its parameter without a word.
+    model, opt_state, epoch = pl.checkpoint_load(work["ckpt"])
+    opt = pl.Adam(model.named_params(), model.cfg.learning_rate)
+    opt.load_state(opt_state)
+    getattr(opt, moment)["seg.enc0a.w"] = np.zeros(1)
+    path = tmp_path / "moment.dbfc"
+    pl.checkpoint_save(model, path, opt=opt, epoch=epoch)
+    code = cli.main(["train", "--data", str(work["a"]),
+                     "--out", str(tmp_path / "out"), "--set", "epochs=2",
+                     "--resume", str(path)])
+    assert code == 3
+    assert "'seg.enc0a.w'" in capsys.readouterr().err
+
+
 def test_train_ver1_metrics_have_no_flow_kl(work, tmp_path):
     # ver1 computes no flow KL, so its run has no such column.
     out = tmp_path / "out"
@@ -445,6 +461,18 @@ def test_eval_corrupt_checkpoint_is_io_error(work, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags", [["--set", "not_a_key=1"],
+                                   ["--config", "missing.cfg"],
+                                   ["--seed", "3"]],
+                         ids=["set", "config", "seed"])
+def test_eval_rejects_options_it_never_reads(work, tmp_path, flags):
+    out = tmp_path / "e.csv"
+    code = cli.main(["eval", "--ckpt", str(work["ckpt"]), "--out", str(out),
+                     str(work["c"])] + flags)
+    assert code == 2
+    assert not out.exists()
+
+
 # -- ablate ------------------------------------------------------------------------
 
 
@@ -554,6 +582,17 @@ def test_sample_posterior_geometry_mismatch(work, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--set", "bogus=1"],
+                                   ["--config", "missing.cfg"]],
+                         ids=["set", "config"])
+def test_sample_posterior_rejects_options_it_never_reads(work, tmp_path, flags):
+    out = tmp_path / "p"
+    code = cli.main(["sample-posterior", "--ckpt", str(work["ckpt"]),
+                     "--data", str(work["a"]), "--out", str(out)] + flags)
+    assert code == 2
+    assert not out.exists()
+
+
 # -- inspect -----------------------------------------------------------------------
 
 
@@ -660,6 +699,24 @@ def test_corrupt_section_shape_is_format_error(work, tmp_path, capsys):
     assert cli.main(["eval", "--ckpt", str(bad), "--out", str(tmp_path / "e.csv"),
                      str(work["c"])]) == 3
     assert "'epoch'" in capsys.readouterr().err
+
+
+def test_checkpoint_with_reversal_numbered_layers_exits_3(tmp_path, capsys):
+    # A layout that counted a parameter-free reversal between MAF layers
+    # named the second one flow.layer2; this build reads it as flow.layer1.
+    cfg = pl.ModelConfig(image_size=(32, 32), channels=2, flow_layers=2,
+                         flow_hidden=4)
+    path = tmp_path / "old.dbfc"
+    pl.checkpoint_save(pl.Model(cfg), path)
+    raw = path.read_bytes()[:-4]
+    assert raw.count(b"flow.layer1.") == 4
+    raw = raw.replace(b"flow.layer1.", b"flow.layer2.")
+    path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+    assert cli.main(["inspect", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "missing parameters" in err
+    for j in range(4):
+        assert f"'flow.layer1.p{j}'" in err
 
 
 # -- top level ---------------------------------------------------------------------

@@ -8,18 +8,17 @@ from scipy import stats
 
 from flowseg import flows
 from flowseg.diffcore import Tensor, backward
-from flowseg.flows import FlowStack, MafLayer, ReversePermutation
+from flowseg.flows import FlowStack, MafLayer
 
 
 def _randomize(stack: FlowStack, rng: np.random.Generator, scale: float = 0.4) -> None:
     for layer in stack.layers:
-        if isinstance(layer, MafLayer):
-            layer.w2.assign(rng.normal(size=layer.w2.shape) * scale)
-            layer.b2.assign(rng.normal(size=layer.b2.shape) * scale)
+        layer.w2.assign(rng.normal(size=layer.w2.shape) * scale)
+        layer.b2.assign(rng.normal(size=layer.b2.shape) * scale)
 
 
 def test_zero_init_stack_is_identity():
-    # Odd MAF counts included: the stack must not start one reversal short.
+    # Odd MAF counts included: the stack ends on either ordering.
     rng = np.random.default_rng(0)
     for n_maf in range(6):
         stack = FlowStack.create(3, n_maf=n_maf, rng=rng)
@@ -62,18 +61,20 @@ def test_log_scale_bound():
 def test_autoregressive_masking():
     # (s_i, a_i) may depend only on coordinates earlier in the ordering
     rng = np.random.default_rng(2)
-    layer = MafLayer(4, rng=rng)
-    layer.w2.assign(rng.normal(size=layer.w2.shape))
-    layer.b2.assign(rng.normal(size=layer.b2.shape))
-    base = rng.normal(size=(1, 4))
-    s0, a0 = layer._conditioner(Tensor(base))
-    for i in range(4):
-        bumped = base.copy()
-        bumped[0, i:] += rng.normal(size=4 - i) * 3.0   # change coords at rank >= i
-        s1, a1 = layer._conditioner(Tensor(bumped))
-        np.testing.assert_allclose(s1.data[0, :i + 1][: i], s0.data[0, :i][: i], atol=1e-12)
-        np.testing.assert_allclose(s1.data[0, i], s0.data[0, i], atol=1e-12)
-        np.testing.assert_allclose(a1.data[0, i], a0.data[0, i], atol=1e-12)
+    for reverse in (False, True):
+        layer = MafLayer(4, reverse=reverse, rng=rng)
+        layer.w2.assign(rng.normal(size=layer.w2.shape))
+        layer.b2.assign(rng.normal(size=layer.b2.shape))
+        base = rng.normal(size=(1, 4))
+        s0, a0 = layer._conditioner(Tensor(base))
+        for r in range(4):
+            bumped = base.copy()
+            later = layer.ordering[r:]                      # coords at rank >= r
+            bumped[0, later] += rng.normal(size=4 - r) * 3.0
+            s1, a1 = layer._conditioner(Tensor(bumped))
+            upto = layer.ordering[:r + 1]
+            np.testing.assert_allclose(s1.data[0, upto], s0.data[0, upto], atol=1e-12)
+            np.testing.assert_allclose(a1.data[0, upto], a0.data[0, upto], atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -110,23 +111,58 @@ def test_logdet_matches_numerical_jacobian(dim):
 
 def test_single_layer_jacobian_is_triangular():
     rng = np.random.default_rng(31)
-    layer = MafLayer(4, rng=rng)
-    layer.w2.assign(rng.normal(size=layer.w2.shape) * 0.5)
-    layer.b2.assign(rng.normal(size=layer.b2.shape) * 0.5)
-    eps = 1e-6
-    x0 = rng.normal(size=4)
-    jac = np.zeros((4, 4))
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = eps
-        hi, _ = layer.forward(Tensor((x0 + e).reshape(1, -1)))
-        lo, _ = layer.forward(Tensor((x0 - e).reshape(1, -1)))
-        jac[:, j] = (hi.data - lo.data).ravel() / (2 * eps)
-    # permuted by ordering rank the Jacobian is lower triangular, positive diag
-    perm = layer.ordering
-    jp = jac[np.ix_(perm, perm)]
-    assert np.abs(np.triu(jp, k=1)).max() < 1e-8
-    assert np.all(np.diag(jp) > 0)
+    for reverse in (False, True):
+        layer = MafLayer(4, reverse=reverse, rng=rng)
+        layer.w2.assign(rng.normal(size=layer.w2.shape) * 0.5)
+        layer.b2.assign(rng.normal(size=layer.b2.shape) * 0.5)
+        eps = 1e-6
+        x0 = rng.normal(size=4)
+        jac = np.zeros((4, 4))
+        for j in range(4):
+            e = np.zeros(4)
+            e[j] = eps
+            hi, _ = layer.forward(Tensor((x0 + e).reshape(1, -1)))
+            lo, _ = layer.forward(Tensor((x0 - e).reshape(1, -1)))
+            jac[:, j] = (hi.data - lo.data).ravel() / (2 * eps)
+        # permuted by ordering rank the Jacobian is lower triangular, positive diag
+        perm = layer.ordering
+        jp = jac[np.ix_(perm, perm)]
+        assert np.abs(np.triu(jp, k=1)).max() < 1e-8
+        assert np.all(np.diag(jp) > 0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_reversed_layer_is_reversal_of_identity_ordered_layer(dim):
+    # Oracle: rev o L o rev, where L is identity-ordered and holds the
+    # reversed layer's weights with w1 rows reversed and the w2 / b2 columns
+    # reversed within each (s || a) half.
+    layer = MafLayer(dim, reverse=True, rng=np.random.default_rng(50 + dim))
+    ref = MafLayer(dim, rng=np.random.default_rng(50 + dim))
+    # both kinds hold the same w1 draw, up to the reversal
+    np.testing.assert_array_equal(layer.w1.data, ref.w1.data[::-1])
+    rng = np.random.default_rng(60 + dim)
+    for p in layer.params():
+        p.assign(rng.normal(size=p.shape) * 0.5)
+
+    def halves(x):
+        return np.concatenate([x[..., :dim][..., ::-1], x[..., dim:][..., ::-1]],
+                              axis=-1)
+
+    ref.w1.assign(layer.w1.data[::-1])
+    ref.b1.assign(layer.b1.data)
+    ref.w2.assign(halves(layer.w2.data))
+    ref.b2.assign(halves(layer.b2.data))
+
+    u = rng.normal(size=(30, dim))
+    z, logdet = layer.forward(Tensor(u))
+    z_ref, logdet_ref = ref.forward(Tensor(u[:, ::-1]))
+    np.testing.assert_allclose(z.data, z_ref.data[:, ::-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logdet.data, logdet_ref.data, rtol=0, atol=1e-12)
+    back, logdet_inv = layer.inverse(Tensor(z.data))
+    back_ref, logdet_inv_ref = ref.inverse(Tensor(z.data[:, ::-1]))
+    np.testing.assert_allclose(back.data, back_ref.data[:, ::-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logdet_inv.data, logdet_inv_ref.data, rtol=0, atol=1e-12)
+    assert np.abs(back.data - u).max() < 1e-9
 
 
 def test_density_normalizes_in_1d():
@@ -228,12 +264,3 @@ def test_push_gradient_passes_grad_check():
 
     assert grad_check(fn, Tensor(rng.normal(size=(3, 2)))) < 1e-4
 
-
-def test_reverse_permutation_round_trip():
-    rev = ReversePermutation(5)
-    x = Tensor(np.arange(10.0).reshape(2, 5))
-    y, ld = rev.forward(x)
-    np.testing.assert_array_equal(y.data, x.data[:, ::-1])
-    np.testing.assert_array_equal(ld.data, 0.0)
-    back, _ = rev.inverse(y)
-    np.testing.assert_array_equal(back.data, x.data)

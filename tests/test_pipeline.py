@@ -500,7 +500,7 @@ def test_resume_reproduces_trajectory(tmp_path):
             shutil.copy(run / "ckpt-last.dbfc", snap)
 
     _, straight = pl.fit(samples, val, cfg, out_dir=run, progress=grab)
-    _, resumed = pl.fit(samples, val, cfg, resume=snap)
+    _, resumed = pl.fit(samples, val, cfg, resume=pl.checkpoint_load(snap))
 
     assert [r["epoch"] for r in resumed] == [2, 3]
     for row_r, row_s in zip(resumed, straight[2:]):
@@ -517,4 +517,4 @@ def test_fit_resume_with_nothing_left_to_train(tmp_path, epochs):
     samples = _toy_samples(4, 16, 16)
     with pytest.raises(ValueError,
                        match=f"epochs = {epochs} .*already trained 2 epochs"):
-        pl.fit(samples, samples, cfg, resume=snap)
+        pl.fit(samples, samples, cfg, resume=pl.checkpoint_load(snap))
