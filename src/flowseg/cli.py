@@ -303,7 +303,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sample_posterior(args) -> int:
-    model, _, _ = checkpoint_load(args.ckpt)
+    # No sample is ever differentiated, so the draws run on a frozen view.
+    model = checkpoint_load(args.ckpt)[0].frozen()
     samples, _ = _load_dataset(args.data, _geometry(model.cfg))
     if not 0 <= args.index < len(samples):
         raise ConfigError(

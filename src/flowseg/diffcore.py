@@ -10,7 +10,8 @@ tensors, so none is ever written in place.  The module holds no state:
 disjoint graphs may be walked in different threads, and one thread walks a
 given graph at a time.  Tensor value buffers are frozen after creation;
 updates replace the buffer rather than mutating it, so a recorded graph can
-always be replayed.
+always be replayed.  An operation whose parents all need no grad records
+nothing, so a computation on detached tensors keeps no tape.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ small U-shaped segmentation net whose logits are refined by the flow and
 discretized with Gumbel-Softmax during training.  Closed-form variational
 updates supply the KL penalties of the training loss.  Evaluation
 (``posterior_mean``) takes every latent at its mean, so it runs only the
-shape stream and the U-Net and returns softmax(mu_z).
+shape stream and the U-Net and returns softmax(mu_z); it runs on a frozen
+view of the model (``Model.frozen``) and records no tape.
 """
 
+import copy
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -287,6 +289,15 @@ class Model:
     def params(self) -> list[Tensor]:
         return [p for _, p in self.named_params()]
 
+    def frozen(self) -> "Model":
+        """The same model with every parameter replaced by ``p.detach()``.
+
+        Each detached parameter shares its parent's frozen value buffer, so
+        the view costs no parameter copy.  None of its parameters requires
+        grad, so an op on it records no tape and keeps no backward closure.
+        """
+        return copy.deepcopy(self, {id(p): p.detach() for p in self.params()})
+
 
 # -- forward pass ----------------------------------------------------------------
 
@@ -339,7 +350,10 @@ def posterior_mean(images, model: Model) -> Tensor:
 
     With every latent at its mean the appearance latent and the noise model
     do not reach the prediction, so only the shape encoder and the U-Net run.
+    They run on ``model.frozen()``, so the call records no tape: the result
+    has no parents and each intermediate is freed as soon as it is consumed.
     """
+    model = model.frozen()
     images = _as_images(images, model.cfg)
     with _phase("shape encoding"):
         mu_x, _ = model.shape_enc(images)
@@ -456,18 +470,8 @@ class Adam:
             p.assign(p.data - self.lr * update)
 
     def load_state(self, state: dict) -> None:
-        """Restore step count and moments; every parameter needs both moments,
-        each of its own shape."""
-        missing = [name for name, _ in self.named
-                   if name not in state["m"] or name not in state["v"]]
-        if missing:
-            raise FormatError(f"optimizer state is missing moments for: {missing}")
-        misshapen = [name for name, p in self.named
-                     if state["m"][name].shape != p.data.shape
-                     or state["v"][name].shape != p.data.shape]
-        if misshapen:
-            raise FormatError(f"optimizer moments differ in shape from their "
-                              f"parameters for: {misshapen}")
+        """Restore step count and moments from the optimizer state that
+        ``checkpoint_load`` checked against this model."""
         self.t = int(state["t"])
         for name, _ in self.named:
             self.m[name] = state["m"][name].copy()
@@ -695,7 +699,12 @@ def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
 
 
 def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
-    """Rebuild (model, optimizer state, epoch) from a checkpoint file."""
+    """Rebuild (model, optimizer state, epoch) from a checkpoint file.
+
+    Optimizer state, when stored, must hold both moments of every parameter,
+    each of its parameter's shape.  The errors of these checks start with
+    ``path``.
+    """
     body = unseal(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
     cfg = _unpack_config(body, path)
     (n_sections,) = body.take("<I")
@@ -704,31 +713,40 @@ def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
         name, arr = _unpack_section(body)
         arrays[name] = arr
     if body.remaining:
-        raise FormatError(f"{body.remaining} trailing bytes after sections")
+        raise FormatError(f"{path}: {body.remaining} trailing bytes after sections")
 
     model = Model(cfg)
-    names = [name for name, _ in model.named_params()]
-    missing = [n for n in names if n not in arrays]
+    named = model.named_params()
+    missing = [name for name, _ in named if name not in arrays]
     if missing:
-        raise FormatError(f"checkpoint is missing parameters: {missing[:4]}")
-    for name, p in model.named_params():
+        raise FormatError(f"{path}: missing parameters: {missing[:4]}")
+    for name, p in named:
         arr = arrays.pop(name)
         if arr.shape != p.data.shape:
             raise FormatError(
-                f"parameter {name}: stored shape {arr.shape} != model shape "
-                f"{p.data.shape}")
+                f"{path}: parameter {name}: stored shape {arr.shape} != model "
+                f"shape {p.data.shape}")
         p.assign(arr)
 
     epoch = int(arrays.pop("epoch", np.array(0.0)).item())
     opt_state = None
     if "opt.t" in arrays:
-        opt_state = {"t": int(arrays.pop("opt.t").item()),
-                     "m": {}, "v": {}}
-        for key in list(arrays):
-            if key.startswith("opt.m."):
-                opt_state["m"][key[6:]] = arrays.pop(key)
-            elif key.startswith("opt.v."):
-                opt_state["v"][key[6:]] = arrays.pop(key)
+        opt_state = {"t": int(arrays.pop("opt.t").item())}
+        for moment in ("m", "v"):
+            opt_state[moment] = {name: arrays.pop(f"opt.{moment}.{name}")
+                                 for name, _ in named
+                                 if f"opt.{moment}.{name}" in arrays}
+        missing = [name for name, _ in named
+                   if name not in opt_state["m"] or name not in opt_state["v"]]
+        if missing:
+            raise FormatError(
+                f"{path}: optimizer state is missing moments for: {missing}")
+        misshapen = [name for name, p in named
+                     if opt_state["m"][name].shape != p.data.shape
+                     or opt_state["v"][name].shape != p.data.shape]
+        if misshapen:
+            raise FormatError(f"{path}: optimizer moments differ in shape from "
+                              f"their parameters for: {misshapen}")
     if arrays:
-        raise FormatError(f"unrecognized sections: {sorted(arrays)[:4]}")
+        raise FormatError(f"{path}: unrecognized sections: {sorted(arrays)[:4]}")
     return model, opt_state, epoch

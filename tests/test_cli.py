@@ -297,11 +297,13 @@ def test_train_resume_rejects_misshapen_moment(work, tmp_path, capsys, moment):
     getattr(opt, moment)["seg.enc0a.w"] = np.zeros(1)
     path = tmp_path / "moment.dbfc"
     pl.checkpoint_save(model, path, opt=opt, epoch=epoch)
-    code = cli.main(["train", "--data", str(work["a"]),
-                     "--out", str(tmp_path / "out"), "--set", "epochs=2",
-                     "--resume", str(path)])
+    out = tmp_path / "out"
+    code = cli.main(["train", "--data", str(work["a"]), "--out", str(out),
+                     "--set", "epochs=2", "--resume", str(path)])
     assert code == 3
-    assert "'seg.enc0a.w'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "'seg.enc0a.w'" in err
+    assert not out.exists()
 
 
 def test_train_ver1_metrics_have_no_flow_kl(work, tmp_path):
@@ -563,6 +565,38 @@ def test_sample_posterior_deterministic(work, tmp_path):
         outs.append((out / "sample_00.pgm").read_bytes()
                     + (out / "log_weights.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_sample_posterior_draws_equal_forward_on_the_loaded_model(
+        work, tmp_path, monkeypatch):
+    drawn = []
+
+    def spy(images, model, mode, rng):
+        out = pl.forward(images, model, mode, rng)
+        drawn.append((model, out))
+        return out
+
+    monkeypatch.setattr(cli, "forward", spy)
+    out = tmp_path / "post"
+    assert cli.main(["sample-posterior", "--ckpt", str(work["ckpt"]),
+                     "--data", str(work["a"]), "--index", "1", "--m", "3",
+                     "--out", str(out), "--seed", "9"]) == 0
+    model, _, _ = pl.checkpoint_load(work["ckpt"])
+    image = fd.dataset_load(work["a"])[1].image[None, None, :, :]
+    rng = np.random.default_rng(9)
+    rows = _read_csv(out / "log_weights.csv")[1:]
+    assert len(drawn) == 3
+    for i, (frozen, got) in enumerate(drawn):
+        assert not any(p.requires_grad for p in frozen.params())
+        assert got.y_hat._parents == ()
+        want = pl.forward(image, model, "train", rng)
+        assert want.y_hat.requires_grad
+        np.testing.assert_array_equal(got.y_hat.data, want.y_hat.data)
+        assert got.log_rn_weights == want.log_rn_weights
+        expected = tmp_path / f"want_{i}.pgm"
+        fd.pgm_write(want.y_hat.data[0].argmax(axis=0), expected)
+        assert (out / f"sample_{i:02d}.pgm").read_bytes() == expected.read_bytes()
+        assert rows[i] == [str(i), f"{want.log_rn_weights[0]:.10g}"]
 
 
 def test_sample_posterior_bad_index(work, tmp_path):

@@ -1,0 +1,171 @@
+"""Golden-run pins: five short fits whose outputs tier-1 checks bit for bit.
+
+Each of ver1..ver5 is fit on 16 domain-A images at 32x32 (12 train, 4 val)
+with ``channels=4``, ``batch_size=4``, 2 epochs and seed 7.  The pins are:
+
+- the SHA-256 of ``ckpt-last.dbfc``;
+- every history row, each value written with ``format_value``;
+- the SHA-256 of ``posterior_mean`` on the 4 validation images;
+- a run fit for 1 epoch and resumed to 2, whose ``ckpt-last.dbfc`` must hash
+  to the unbroken run's pin.
+
+Re-pin rule: a change that alters numerics on purpose re-pins in the same
+change.  Its CHANGES.md entry says which pins moved and why, and gives the
+largest relative parameter difference against the parent.  Never re-pin to
+get past a change that nobody has explained.
+"""
+
+import functools
+import hashlib
+
+import numpy as np
+import pytest
+
+import flowseg.data as fd
+import flowseg.pipeline as pl
+
+VERSIONS = sorted(pl.VERSION_TOGGLES)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cfg(version: str, epochs: int = 2) -> pl.ModelConfig:
+    base = pl.ModelConfig(image_size=(32, 32), channels=4, batch_size=4,
+                          epochs=epochs, seed=7)
+    return pl.config_for_version(base, version)
+
+
+@functools.lru_cache(maxsize=None)
+def _samples():
+    samples = fd.gen_dataset(fd.DOMAINS["A"], 16, image_size=(32, 32))
+    return samples[:12], samples[12:]
+
+
+def _history_rows(history) -> list[str]:
+    return [" ".join(f"{key}={pl.format_value(value)}"
+                     for key, value in row.items()) for row in history]
+
+
+def golden_run(version: str, out_dir) -> dict:
+    """The pinned facts of one unbroken two-epoch fit."""
+    train, val = _samples()
+    model, history = pl.fit(train, val, _cfg(version), out_dir=out_dir)
+    images, _ = pl.batch_tensors(val, model.cfg.num_classes)
+    probs = np.ascontiguousarray(pl.posterior_mean(images, model).data, "<f8")
+    return {"ckpt": _sha((out_dir / "ckpt-last.dbfc").read_bytes()),
+            "history": _history_rows(history),
+            "posterior_mean": _sha(probs.tobytes())}
+
+
+def resumed_ckpt_sha(version: str, out_dir) -> str:
+    """SHA-256 of ckpt-last.dbfc after 1 epoch and a resume to 2."""
+    train, val = _samples()
+    pl.fit(train, val, _cfg(version, epochs=1), out_dir=out_dir / "first")
+    ckpt = pl.checkpoint_load(out_dir / "first" / "ckpt-last.dbfc")
+    pl.fit(train, val, _cfg(version), out_dir=out_dir / "second", resume=ckpt)
+    return _sha((out_dir / "second" / "ckpt-last.dbfc").read_bytes())
+
+
+PINS = {
+    "ver1": {
+        "ckpt": "9a4da46b052cf17e32896d638907b0226fa725e8967d20e03a59b6df8e36dd9c",
+        "history": [
+            ("epoch=0 dice_val=0.33930206506916033"
+             " recon=1.7180651235736104 kl_y=0.0 kl_z=3.4901875182343893"
+             " kl_x=0.0 kl_m=0.0 loss=1.8032747797805049"),
+            ("epoch=1 dice_val=0.29191897430921065"
+             " recon=1.7076148651597638 kl_y=0.0 kl_z=3.052554138023923"
+             " kl_x=0.0 kl_m=0.0 loss=1.7821401126701135"),
+        ],
+        "posterior_mean": "13175d357351e49baf8127e0a5f427972cce0237550fa73cdc475b44f9d2ac14",
+    },
+    "ver2": {
+        "ckpt": "25158c71652c679d2413b0c62cef696e97e21dbf255107f0e4198eb1ec075796",
+        "history": [
+            ("epoch=0 dice_val=0.003289473684210526"
+             " recon=1.659875543966078 kl_y=20455.689310387465"
+             " kl_z=31.984379806223362 kl_x=24575.99975577954"
+             " kl_m=4132.743935726734 loss=1202.7442842768753"),
+            ("epoch=1 dice_val=0.0 recon=1.641530859779003"
+             " kl_y=20457.650645408976 kl_z=31.98437980150008"
+             " kl_x=24575.99975488786 kl_m=4104.384213009481"
+             " loss=1202.0814476837002"),
+        ],
+        "posterior_mean": "4d8c500203515f63a017262d349adfec55adacc03d130cfbe2f4e4c7d0c6fb46",
+    },
+    "ver3": {
+        "ckpt": "87bf8a04073a6be179cdd6b49014699489cf718ca69d8124bb301148345ba072",
+        "history": [
+            ("epoch=0 dice_val=0.27836730559603956"
+             " recon=1.6588885336484267 kl_y=0.0 kl_z=3.056852526537258"
+             " kl_x=0.0 kl_m=0.0 loss=1.7335187222845903"),
+            ("epoch=1 dice_val=0.25735040871148507"
+             " recon=1.6387232313011142 kl_y=0.0 kl_z=2.6222564957642955"
+             " kl_x=0.0 kl_m=0.0 loss=1.7027431652797347"),
+        ],
+        "posterior_mean": "aaa245863246b4ea6343dcd356ad83aa044360db12f8f9b6da2fa88a7f51bdf7",
+    },
+    "ver4": {
+        "ckpt": "b3d09afa351dc4cd4edffd63216ec1d211cb970ec428f32e5c070ebdfc7788bc",
+        "history": [
+            ("epoch=0 dice_val=0.06751595059500834"
+             " recon=1.7276411278811035 kl_y=20460.374725140868"
+             " kl_z=31.98437980620857 kl_x=24575.999755757293"
+             " kl_m=4148.400111026752 flow_kl=3.480641019041932e-05"
+             " loss=1203.3121513521794"),
+            ("epoch=1 dice_val=0.045279593318809 recon=1.7102871733089804"
+             " kl_y=20460.689024892254 kl_z=31.98437980267562"
+             " kl_x=24575.999754791934 kl_m=4139.806670924649"
+             " flow_kl=0.00025540765477100974 loss=1203.1147300484422"),
+        ],
+        "posterior_mean": "f1b6add6f6c330d247924d24ca311e87c2ef03d44811085843ed0aa4f446deab",
+    },
+    "ver5": {
+        "ckpt": "dbf35db16a7786dfcdcbbe914dd14b68c5a7cbb2dc2e94ec586099ff00571496",
+        "history": [
+            ("epoch=0 dice_val=0.0 recon=1.6379963755438058"
+             " kl_y=20453.1951431139 kl_z=31.98437980554497"
+             " kl_x=24575.9997557731 kl_m=4132.574799883702"
+             " flow_kl=-1.0608468653242284e-05 loss=1202.656322212669"),
+            ("epoch=1 dice_val=0.0 recon=1.6239019332581375"
+             " kl_y=20462.410457552058 kl_z=31.984379801458406"
+             " kl_x=24575.999754868633 kl_m=4103.918425277106"
+             " flow_kl=0.0003465150534906018 loss=1202.2033048423975"),
+        ],
+        "posterior_mean": "8418e072d471c0796a957a69f5705b4f8b796398034951cd1b80cf8229719b31",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    cache = {}
+
+    def get(version):
+        if version not in cache:
+            cache[version] = golden_run(
+                version, tmp_path_factory.mktemp(f"golden-{version}"))
+        return cache[version]
+    return get
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_checkpoint_pin(runs, version):
+    assert runs(version)["ckpt"] == PINS[version]["ckpt"]
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_history_pin(runs, version):
+    assert runs(version)["history"] == PINS[version]["history"]
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_posterior_mean_pin(runs, version):
+    assert runs(version)["posterior_mean"] == PINS[version]["posterior_mean"]
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_resume_hashes_to_the_unbroken_pin(tmp_path, version):
+    assert resumed_ckpt_sha(version, tmp_path) == PINS[version]["ckpt"]

@@ -1,6 +1,9 @@
 """Pipeline tests: forward contract, toggles, training dynamics, checkpoints."""
 
 import re
+import struct
+import tracemalloc
+import zlib
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -160,20 +163,39 @@ def test_adam_single_step_matches_formula():
     assert abs(p.data[0] - (2.0 - 0.1 * 3.0 / (3.0 + 1e-8))) < 1e-12
 
 
-def test_adam_load_state_rejects_missing_moments():
-    a = dc.Tensor(np.ones(2), requires_grad=True)
-    b = dc.Tensor(np.ones(3), requires_grad=True)
-    opt = pl.Adam([("a", a), ("b", b)], lr=0.1)
-    full = {"t": 4, "m": {"a": np.full(2, 0.5), "b": np.full(3, 0.25)},
-            "v": {"a": np.full(2, 2.0), "b": np.full(3, 3.0)}}
+def test_checkpoint_load_rejects_missing_moments(tmp_path):
+    model = pl.Model(_tiny_cfg())
+    opt = pl.Adam(model.named_params(), lr=0.1)
+    opt.t = 4
+    for name, p in model.named_params():
+        opt.m[name] = np.full(p.shape, 0.5)
+        opt.v[name] = np.full(p.shape, 2.0)
+    path = tmp_path / "full.dbfc"
+    pl.checkpoint_save(model, path, opt=opt, epoch=1)
+    raw = path.read_bytes()[:-4]
     for moment in ("m", "v"):
-        partial = {**full, moment: {"a": full[moment]["a"]}}
-        with pytest.raises(fd.FormatError, match=r"missing moments.*'b'"):
-            opt.load_state(partial)
-        assert opt.t == 0 and np.all(opt.m["b"] == 0.0)
-    opt.load_state(full)
-    assert opt.t == 4
-    np.testing.assert_array_equal(opt.v["b"], full["v"]["b"])
+        # Rename one moment section, so only that moment is missing.
+        key = f"opt.{moment}.seg.enc0a.w".encode()
+        assert raw.count(key) == 1
+        cut = raw.replace(key, key[:-1] + b"q")
+        bad = tmp_path / f"no-{moment}.dbfc"
+        bad.write_bytes(cut + struct.pack("<I", zlib.crc32(cut)))
+        with pytest.raises(fd.FormatError,
+                           match=r"missing moments.*'seg\.enc0a\.w'") as exc:
+            pl.checkpoint_load(bad)
+        assert str(exc.value).startswith(f"{bad}: ")
+    # Moments of a parameter the model lacks are not dropped without a word.
+    opt.m["ghost"], opt.v["ghost"] = np.zeros(1), np.zeros(1)
+    ghost = tmp_path / "ghost.dbfc"
+    pl.checkpoint_save(model, ghost, opt=opt, epoch=1)
+    with pytest.raises(fd.FormatError, match=r"unrecognized sections.*ghost"):
+        pl.checkpoint_load(ghost)
+    loaded, state, _ = pl.checkpoint_load(path)
+    restored = pl.Adam(loaded.named_params(), lr=0.1)
+    restored.load_state(state)
+    assert restored.t == 4
+    np.testing.assert_array_equal(restored.v["seg.enc0a.w"],
+                                  opt.v["seg.enc0a.w"])
 
 
 # -- forward contract ----------------------------------------------------------------
@@ -405,14 +427,86 @@ def test_evaluation_runs_no_training_only_code(version, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("training-only code ran during evaluation")
 
+    class ForbiddenEncoder(pl.ResEncoder):
+        # Swapping the class keeps the parameters listed, so the guard
+        # survives the copy that Model.frozen makes.
+        __call__ = forbidden
+
     for name in ("refresh_state", "kl_terms", "grad_sqnorm",
                  "gaussian_kl_closed"):
         monkeypatch.setattr(pl, name, forbidden)
-    monkeypatch.setattr(model, "appearance", forbidden)
+    monkeypatch.setattr(model.appearance, "__class__", ForbiddenEncoder)
     samples = _toy_samples(5, 16, 16)
     assert 0.0 <= pl.evaluate(samples, model) <= 1.0
     labels, _ = pl.predict(samples[0], model)
     assert labels.shape == (16, 16)
+
+
+def test_posterior_mean_records_no_tape():
+    model = pl.Model(_tiny_cfg())
+    assert all(p.requires_grad for p in model.params())
+    images, _ = pl.batch_tensors(_toy_samples(2, 16, 16), 2)
+    probs = pl.posterior_mean(images, model)
+    assert not probs.requires_grad
+    assert probs._parents == () and probs._backward is None
+    assert all(p.requires_grad for p in model.params())
+
+
+def test_frozen_view_shares_every_buffer():
+    model = pl.Model(_tiny_cfg())
+    view = model.frozen()
+    assert view.cfg == model.cfg
+    named, view_named = model.named_params(), view.named_params()
+    assert [n for n, _ in view_named] == [n for n, _ in named]
+    for (_, p), (_, q) in zip(named, view_named):
+        assert q is not p
+        assert np.shares_memory(p.data, q.data)
+        assert p.requires_grad and not q.requires_grad
+
+
+class _GradRecorder(pl.Adam):
+    """Adam that keeps a copy of every gradient it steps with."""
+
+    def step(self):
+        self.grads = {name: None if p.grad is None else p.grad.copy()
+                      for name, p in self.named}
+        super().step()
+
+
+@pytest.mark.parametrize("version", ["ver1", "ver5"])
+def test_evaluate_leaves_training_gradients_unchanged(version):
+    samples = _toy_samples(4, 16, 16)
+    grads = []
+    for run_evaluate in (False, True):
+        model = pl.Model(pl.config_for_version(_tiny_cfg(), version))
+        if run_evaluate:
+            pl.evaluate(samples, model)
+        opt = _GradRecorder(model.named_params(), 0.01)
+        pl.train_step(samples, model, opt, np.random.default_rng(0))
+        grads.append(opt.grads)
+    plain, after_eval = grads
+    assert plain.keys() == after_eval.keys()
+    for name, g in plain.items():
+        if g is None:
+            assert after_eval[name] is None, name
+        else:
+            np.testing.assert_array_equal(after_eval[name], g, err_msg=name)
+    if version == "ver5":
+        assert all(g is not None for g in after_eval.values())
+
+
+def test_posterior_mean_peak_memory_guard():
+    # One call at B=8, 64x64 and the default config peaked at 132 MiB of
+    # traced allocations while it recorded a tape, and at 22 MiB without.
+    model = pl.Model(pl.ModelConfig())
+    images = np.random.default_rng(0).standard_normal((8, 1, 64, 64))
+    tracemalloc.start()
+    try:
+        pl.posterior_mean(images, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- checkpoints -------------------------------------------------------------------------
