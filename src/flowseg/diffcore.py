@@ -119,6 +119,10 @@ class Tensor:
         """A view of the same values with no tape linkage."""
         return Tensor._from_op(self.data, (), None)
 
+    def __deepcopy__(self, memo) -> "Tensor":
+        """A deep copy is ``detach()``: it shares the read-only value buffer."""
+        return self.detach()
+
     def assign(self, arr: np.ndarray) -> None:
         """Replace the value buffer of a leaf (parameter update)."""
         if self._parents:

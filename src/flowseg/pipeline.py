@@ -1,11 +1,11 @@
 """End-to-end segmentation pipeline.
 
-Dual-stream encoders produce appearance and shape latents, each sampled
-through the OU diffusion with a Girsanov weight (or by plain Gaussian
-reparameterization when that component is off).  The shape latent drives a
-small U-shaped segmentation net whose logits are refined by the flow and
-discretized with Gumbel-Softmax during training.  Closed-form variational
-updates supply the KL penalties of the training loss.  Evaluation
+The shape encoder's latent, and with NCVI the appearance encoder's latent
+that only the NCVI terms read, are sampled through the OU diffusion with a
+Girsanov weight (or by Gaussian reparameterization when that is off).  The
+shape latent drives a small U-shaped segmentation net whose logits the flow
+refines and Gumbel-Softmax discretizes during training.  Closed-form
+variational updates supply the KL penalties of the loss.  Evaluation
 (``posterior_mean``) takes every latent at its mean, so it runs only the
 shape stream and the U-Net and returns softmax(mu_z); it runs on a frozen
 view of the model (``Model.frozen``) and records no tape.
@@ -269,7 +269,10 @@ class Model:
     def __init__(self, cfg: ModelConfig):
         rng = np.random.default_rng(cfg.seed)
         self.cfg = cfg
-        self.appearance = ResEncoder(1, cfg.channels, 1, rng)
+        # Drawn in every variant, so that later modules start from the same
+        # weights whatever the toggles, and kept only for NCVI, its one reader.
+        appearance = ResEncoder(1, cfg.channels, 1, rng)
+        self.appearance = appearance if cfg.ncvi else None
         self.shape_enc = ResEncoder(1, cfg.channels, 1, rng)
         self.seg = UNet(3, cfg.channels, cfg.num_classes, rng)
         self.flow = (FlowStack.create(cfg.num_classes, n_maf=cfg.flow_layers,
@@ -277,7 +280,7 @@ class Model:
                      if cfg.nf_posterior else None)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        out = self.appearance.named_params("appearance")
+        out = self.appearance.named_params("appearance") if self.appearance else []
         out += self.shape_enc.named_params("shape")
         out += self.seg.named_params("seg")
         if self.flow is not None:
@@ -290,13 +293,12 @@ class Model:
         return [p for _, p in self.named_params()]
 
     def frozen(self) -> "Model":
-        """The same model with every parameter replaced by ``p.detach()``.
+        """The same model with every tensor replaced by its ``detach()``.
 
-        Each detached parameter shares its parent's frozen value buffer, so
-        the view costs no parameter copy.  None of its parameters requires
-        grad, so an op on it records no tape and keeps no backward closure.
-        """
-        return copy.deepcopy(self, {id(p): p.detach() for p in self.params()})
+        A deep copy of a tensor shares its frozen value buffer, so the view
+        copies no tensor.  None of its tensors requires grad, so an op on it
+        records no tape and keeps no backward closure."""
+        return copy.deepcopy(self)
 
 
 # -- forward pass ----------------------------------------------------------------
@@ -381,20 +383,18 @@ def forward(images, model: Model, mode: str = "train",
     b = images.shape[0]
     k = cfg.num_classes
 
-    with _phase("appearance encoding"):
-        mu_m, lv_m = model.appearance(images)
-        sigma_m = (lv_m * 0.5).exp()
-        m, log_w = _sample_latent(mu_m, sigma_m, cfg, rng)
+    log_w = np.zeros(b)
+    if cfg.ncvi:
+        with _phase("appearance encoding"):
+            mu_m, lv_m = model.appearance(images)
+            sigma_m = (lv_m * 0.5).exp()
+            m, log_w = _sample_latent(mu_m, sigma_m, cfg, rng)
 
     with _phase("shape encoding"):
         mu_x, lv_x = model.shape_enc(images)
         sigma_x = (lv_x * 0.5).exp()
         x, w = _sample_latent(mu_x, sigma_x, cfg, rng)
         log_w = log_w + w
-
-    with _phase("observation likelihood"):
-        # The noise precision enters only through the KL penalty on r.
-        r = images - (x + m)
 
     with _phase("segmentation latent"):
         x_tiled = concat([x, x, x], axis=1)
@@ -414,8 +414,10 @@ def forward(images, model: Model, mode: str = "train",
 
     with _phase("variational updates"):
         if cfg.ncvi:
-            # The closed-form updates read mu_z as a class-responsibility
-            # field, so the logits pass through a softmax first.
+            # The noise precision enters only through the KL penalty on the
+            # observation residual r.  The closed-form updates read mu_z as a
+            # class-responsibility field, so the logits pass a softmax first.
+            r = images - (x + m)
             resp = mu_z.softmax(axis=1)
             gsq_x = grad_sqnorm(mu_x)
             gsq_z = grad_sqnorm(mu_z)
@@ -426,10 +428,10 @@ def forward(images, model: Model, mode: str = "train",
                 cfg.hp)
         else:
             # Plain-Gaussian baseline: the segmentation posterior is the
-            # only latent with a prior penalty.  Penalizing the appearance
-            # and shape fields too at this loss weight drives their
-            # signal-to-noise to zero and the model degenerates into an
-            # unconditional shape prior.
+            # only latent with a prior penalty.  Penalizing the encoder
+            # fields too at this loss weight drove their signal-to-noise to
+            # zero, and the model degenerated into an unconditional shape
+            # prior.
             kl_y = Tensor(0.0)
             kl_z = gaussian_kl_closed(mu_z, lv_z)
             kl_x = Tensor(0.0)

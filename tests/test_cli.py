@@ -463,6 +463,26 @@ def test_eval_corrupt_checkpoint_is_io_error(work, tmp_path):
     assert code == 3
 
 
+def test_eval_rejects_a_ver1_checkpoint_with_appearance_sections(
+        work, tmp_path, capsys):
+    # ver1 and ver3 checkpoints written while every variant built the
+    # appearance encoder carry its parameters and their Adam moments.
+    cfg = pl.config_for_version(
+        pl.ModelConfig(image_size=(32, 32), channels=4), "ver1")
+    model = pl.Model(cfg)
+    model.appearance = pl.ResEncoder(1, cfg.channels, 1,
+                                     np.random.default_rng(0))
+    old = tmp_path / "old-ver1.dbfc"
+    pl.checkpoint_save(model, old, opt=pl.Adam(model.named_params(), 1e-3),
+                       epoch=1)
+    code = cli.main(["eval", "--ckpt", str(old),
+                     "--out", str(tmp_path / "e.csv"), str(work["c"])])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(old) in err and "unrecognized sections" in err
+    assert "'appearance.block0a.b'" in err
+
+
 @pytest.mark.parametrize("flags", [["--set", "not_a_key=1"],
                                    ["--config", "missing.cfg"],
                                    ["--seed", "3"]],

@@ -70,16 +70,16 @@ def resumed_ckpt_sha(version: str, out_dir) -> str:
 
 PINS = {
     "ver1": {
-        "ckpt": "9a4da46b052cf17e32896d638907b0226fa725e8967d20e03a59b6df8e36dd9c",
+        "ckpt": "ff379e92bb28c0b0b72c2093f389f179f018494a94f26b627041053c16c344ec",
         "history": [
-            ("epoch=0 dice_val=0.33930206506916033"
-             " recon=1.7180651235736104 kl_y=0.0 kl_z=3.4901875182343893"
-             " kl_x=0.0 kl_m=0.0 loss=1.8032747797805049"),
-            ("epoch=1 dice_val=0.29191897430921065"
-             " recon=1.7076148651597638 kl_y=0.0 kl_z=3.052554138023923"
-             " kl_x=0.0 kl_m=0.0 loss=1.7821401126701135"),
+            ("epoch=0 dice_val=0.3066881731474003"
+             " recon=1.742175985972846 kl_y=0.0 kl_z=3.4979097961945147"
+             " kl_x=0.0 kl_m=0.0 loss=1.8275741743565013"),
+            ("epoch=1 dice_val=0.264774961371708"
+             " recon=1.7154308342366578 kl_y=0.0 kl_z=3.0593549314428565"
+             " kl_x=0.0 kl_m=0.0 loss=1.7901221167425867"),
         ],
-        "posterior_mean": "13175d357351e49baf8127e0a5f427972cce0237550fa73cdc475b44f9d2ac14",
+        "posterior_mean": "1e3f0b30100cbfec2a611d6a32f9bad40e3fbd50a5828d183354f9ab3f4cf606",
     },
     "ver2": {
         "ckpt": "25158c71652c679d2413b0c62cef696e97e21dbf255107f0e4198eb1ec075796",
@@ -96,16 +96,16 @@ PINS = {
         "posterior_mean": "4d8c500203515f63a017262d349adfec55adacc03d130cfbe2f4e4c7d0c6fb46",
     },
     "ver3": {
-        "ckpt": "87bf8a04073a6be179cdd6b49014699489cf718ca69d8124bb301148345ba072",
+        "ckpt": "23f0b882fb21c3c6b7c3443f391f3593a4c1aa4c4e2520be095c267a14e9fa1c",
         "history": [
-            ("epoch=0 dice_val=0.27836730559603956"
-             " recon=1.6588885336484267 kl_y=0.0 kl_z=3.056852526537258"
-             " kl_x=0.0 kl_m=0.0 loss=1.7335187222845903"),
-            ("epoch=1 dice_val=0.25735040871148507"
-             " recon=1.6387232313011142 kl_y=0.0 kl_z=2.6222564957642955"
-             " kl_x=0.0 kl_m=0.0 loss=1.7027431652797347"),
+            ("epoch=0 dice_val=0.3623569261603902"
+             " recon=1.662245612249399 kl_y=0.0 kl_z=3.016578000895393"
+             " kl_x=0.0 kl_m=0.0 loss=1.735892536099384"),
+            ("epoch=1 dice_val=0.34241987462401796"
+             " recon=1.6632559097514903 kl_y=0.0 kl_z=2.6229857977618622"
+             " kl_x=0.0 kl_m=0.0 loss=1.7272936489546604"),
         ],
-        "posterior_mean": "aaa245863246b4ea6343dcd356ad83aa044360db12f8f9b6da2fa88a7f51bdf7",
+        "posterior_mean": "0a8bcace46990fa80ba4644d08c578f44fd117af0c3bd66dead74c05c2aa26f5",
     },
     "ver4": {
         "ckpt": "b3d09afa351dc4cd4edffd63216ec1d211cb970ec428f32e5c070ebdfc7788bc",

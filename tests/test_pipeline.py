@@ -249,16 +249,27 @@ def test_toggle_matrix_phases(version):
         assert all(v == 0.0 for v in out.log_rn_weights)
 
 
-@pytest.mark.parametrize("sde", [False, True])
-def test_ncvi_toggle_leaves_the_sample_unchanged(sde):
-    # NCVI only adds KL penalties after the prediction, so it must not
-    # consume draws that the sampled latents and the prediction read.
+@pytest.mark.parametrize("ncvi", [False, True])
+def test_appearance_stream_runs_only_with_ncvi(ncvi, monkeypatch):
+    # Only the NCVI terms read the appearance latent, so without NCVI the
+    # model has no appearance encoder and a pass runs the shape encoder alone.
+    calls = []
+    encode = pl.ResEncoder.__call__
+
+    def counted(self, x):
+        calls.append(self)
+        return encode(self, x)
+
+    monkeypatch.setattr(pl.ResEncoder, "__call__", counted)
+    model = pl.Model(_tiny_cfg(ncvi=ncvi))
     images, _ = pl.batch_tensors(_toy_samples(2, 16, 16), 2)
-    outs = [pl.forward(images, pl.Model(_tiny_cfg(ncvi=ncvi, sde_girsanov=sde)),
-                       "train", np.random.default_rng(5))
-            for ncvi in (False, True)]
-    assert np.array_equal(outs[0].y_hat.data, outs[1].y_hat.data)
-    assert np.array_equal(outs[0].log_rn_weights, outs[1].log_rn_weights)
+    for seed in (5, 6):
+        pl.forward(images, model, "train", np.random.default_rng(seed))
+    assert len(calls) == (4 if ncvi else 2)
+    assert (model.appearance is not None) == ncvi
+    has_appearance = any(name.startswith("appearance.")
+                         for name, _ in model.named_params())
+    assert has_appearance == ncvi
 
 
 @pytest.mark.parametrize("version", sorted(pl.VERSION_TOGGLES))
@@ -285,6 +296,24 @@ def test_flow_kl_term_only_when_both_components_on():
 
 
 # -- training dynamics ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("version", sorted(pl.VERSION_TOGGLES))
+def test_every_parameter_trains(version):
+    # The parameter-side twin of test_every_config_field_is_read: a tensor
+    # that two steps leave unchanged is state that never trains.  Two steps,
+    # because the flow's zero-initialized output layer shuts off the
+    # gradient of its inputs until it moves.
+    cfg = pl.config_for_version(_tiny_cfg(), version)
+    model = pl.Model(cfg)
+    start = {name: p.data for name, p in model.named_params()}
+    opt = pl.Adam(model.named_params(), cfg.learning_rate, cfg.weight_decay)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        pl.train_step(_toy_samples(4, 16, 16), model, opt, rng)
+    frozen = [name for name, p in model.named_params()
+              if np.array_equal(p.data, start[name])]
+    assert frozen == []
 
 
 def test_gradient_reaches_every_param_group():
@@ -432,10 +461,13 @@ def test_evaluation_runs_no_training_only_code(version, monkeypatch):
         # survives the copy that Model.frozen makes.
         __call__ = forbidden
 
+    if version == "ver1":
+        assert model.appearance is None
+    else:
+        monkeypatch.setattr(model.appearance, "__class__", ForbiddenEncoder)
     for name in ("refresh_state", "kl_terms", "grad_sqnorm",
                  "gaussian_kl_closed"):
         monkeypatch.setattr(pl, name, forbidden)
-    monkeypatch.setattr(model.appearance, "__class__", ForbiddenEncoder)
     samples = _toy_samples(5, 16, 16)
     assert 0.0 <= pl.evaluate(samples, model) <= 1.0
     labels, _ = pl.predict(samples[0], model)
@@ -452,16 +484,31 @@ def test_posterior_mean_records_no_tape():
     assert all(p.requires_grad for p in model.params())
 
 
+def _tensors(obj) -> list:
+    """Every tensor reachable from obj through attributes, lists and tuples."""
+    if isinstance(obj, dc.Tensor):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [t for item in obj for t in _tensors(item)]
+    if hasattr(obj, "__dict__"):
+        return [t for value in vars(obj).values() for t in _tensors(value)]
+    return []
+
+
 def test_frozen_view_shares_every_buffer():
     model = pl.Model(_tiny_cfg())
     view = model.frozen()
     assert view.cfg == model.cfg
     named, view_named = model.named_params(), view.named_params()
     assert [n for n, _ in view_named] == [n for n, _ in named]
-    for (_, p), (_, q) in zip(named, view_named):
+    assert all(p.requires_grad for _, p in named)
+    # Beyond the parameters, the view reaches the flow's MADE masks.
+    source, copied = _tensors(model), _tensors(view)
+    assert len(copied) == len(source) > len(named)
+    for p, q in zip(source, copied):
         assert q is not p
         assert np.shares_memory(p.data, q.data)
-        assert p.requires_grad and not q.requires_grad
+        assert not q.data.flags.writeable and not q.requires_grad
 
 
 class _GradRecorder(pl.Adam):
