@@ -180,7 +180,9 @@ def cmd_gen_data(args) -> int:
         overrides["seed"] = cfg["seed"]
     if overrides:
         domain = replace(domain, **overrides)
-    samples = gen_dataset(domain, cfg["n"], image_size=tuple(cfg["image_size"]))
+    # A dataset's geometry is the model's, so the model config checks it.
+    image_size = config_from_items(cfg).image_size
+    samples = gen_dataset(domain, cfg["n"], image_size=image_size)
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -199,24 +199,31 @@ def dataset_save(samples: list[Sample], path: str | Path,
         if s.image.shape != (h, w) or s.mask.shape != (h, w):
             raise ValueError(
                 f"inconsistent sample shape: {s.image.shape} vs {(h, w)}")
+        if not np.isfinite(s.image).all():
+            raise ValueError("refusing to save an image with a non-finite value")
         out.put_bytes(np.ascontiguousarray(s.image, dtype="<f8"))
         out.put_bytes(np.ascontiguousarray(s.mask, dtype=np.uint8))
     atomic_write(path, out.seal())
 
 
 def dataset_load(path: str | Path) -> list[Sample]:
-    """Inverse of dataset_save with full validation."""
+    """Inverse of dataset_save; what it would not write raises FormatError."""
     body = unseal(Path(path).read_bytes(), DATASET_MAGIC, path, _HEAD,
                   _payload_size)
     n, h, w, k = body.take(_HEAD)
+    if n == 0:
+        raise FormatError(f"{path}: the dataset declares 0 samples")
     samples = []
-    for _ in range(n):
+    for i in range(n):
         img = np.frombuffer(body.take_bytes(h * w * 8),
                             dtype="<f8").reshape(h, w).copy()
+        if not np.isfinite(img).all():
+            raise FormatError(f"{path}: sample {i}: image holds a non-finite value")
         mask = np.frombuffer(body.take_bytes(h * w),
                              dtype=np.uint8).reshape(h, w).astype(np.int64)
         if mask.max(initial=0) >= k:
-            raise FormatError(f"mask label {mask.max()} >= declared K {k}")
+            raise FormatError(
+                f"{path}: sample {i}: mask label {mask.max()} >= declared K {k}")
         samples.append(Sample(image=img, mask=mask))
     return samples
 

@@ -67,9 +67,6 @@ class MafLayer:
         self.w2 = Tensor(np.zeros((hidden, 2 * dim)), requires_grad=True)
         self.b2 = Tensor(np.zeros(2 * dim), requires_grad=True)
 
-    def params(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
     def _conditioner(self, u: Tensor) -> tuple[Tensor, Tensor]:
         h = (u.matmul(self.w1 * self._mask1) + self.b1).tanh()
         sa = h.matmul(self.w2 * self._mask2) + self.b2
@@ -113,12 +110,6 @@ class FlowStack:
                rng: np.random.Generator) -> "FlowStack":
         return cls([MafLayer(dim, hidden, reverse=bool(i % 2), rng=rng)
                     for i in range(n_maf)], dim)
-
-    def params(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
 
 
 def _as_rows(x, dim: int) -> Tensor:

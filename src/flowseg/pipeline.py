@@ -97,9 +97,9 @@ class ModelConfig:
                     raise ValueError(
                         f"{key} must be finite and {want}, got {value}")
         h, w = self.image_size
-        if h % 4 != 0 or w % 4 != 0:
-            raise ValueError(
-                f"image_size must be divisible by 4 (two pooling levels), got {(h, w)}")
+        if min(h, w) < 4 or h % 4 != 0 or w % 4 != 0:
+            raise ValueError(f"image_size sides must be >= 4 and divisible by 4 "
+                             f"(two pooling levels), got {(h, w)}")
 
 
 def config_for_version(cfg: ModelConfig, version: str) -> ModelConfig:
@@ -185,9 +185,6 @@ class Conv:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.w) + self.b.reshape((1, -1, 1, 1))
 
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
-
 
 def avg_pool2(x: Tensor) -> Tensor:
     b, c, h, w = x.shape
@@ -218,15 +215,6 @@ class ResEncoder:
             h = (h + c2(c1(h).tanh())).tanh()
         return self.head_mu(h), _bounded_log_var(self.head_lv(h))
 
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = self.stem.named_params(f"{prefix}.stem")
-        for i, (c1, c2) in enumerate(self.blocks):
-            out += c1.named_params(f"{prefix}.block{i}a")
-            out += c2.named_params(f"{prefix}.block{i}b")
-        out += self.head_mu.named_params(f"{prefix}.head_mu")
-        out += self.head_lv.named_params(f"{prefix}.head_lv")
-        return out
-
 
 class UNet:
     """3-level U-shaped net with skip connections and per-class heads."""
@@ -255,13 +243,6 @@ class UNet:
         h = self.dec0b(self.dec0a(h).tanh()).tanh()
         return self.head_mu(h), _bounded_log_var(self.head_lv(h))
 
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for name in ("enc0a", "enc0b", "enc1a", "enc1b", "enc2a", "enc2b",
-                     "dec1a", "dec1b", "dec0a", "dec0b", "head_mu", "head_lv"):
-            out += getattr(self, name).named_params(f"{prefix}.{name}")
-        return out
-
 
 class Model:
     """All trainable state plus the config that shaped it."""
@@ -280,14 +261,12 @@ class Model:
                      if cfg.nf_posterior else None)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        out = self.appearance.named_params("appearance") if self.appearance else []
-        out += self.shape_enc.named_params("shape")
-        out += self.seg.named_params("seg")
-        if self.flow is not None:
-            for i, layer in enumerate(self.flow.layers):
-                for j, p in enumerate(layer.params()):
-                    out.append((f"flow.layer{i}.p{j}", p))
-        return out
+        """(path, tensor) for every tensor reachable through public
+        attributes, lists and tuples, in definition order.  A path joins the
+        names and indices with ``.``, as in ``appearance.blocks.0.1.b``.  An
+        attribute named ``_...`` holds a constant (the MADE masks) and is
+        not walked."""
+        return _named_tensors(self, "")
 
     def params(self) -> list[Tensor]:
         return [p for _, p in self.named_params()]
@@ -299,6 +278,18 @@ class Model:
         copies no tensor.  None of its tensors requires grad, so an op on it
         records no tape and keeps no backward closure."""
         return copy.deepcopy(self)
+
+
+def _named_tensors(obj, path: str) -> list[tuple[str, Tensor]]:
+    if isinstance(obj, Tensor):
+        return [(path.lstrip("."), obj)]
+    if isinstance(obj, (list, tuple)):
+        children = enumerate(obj)
+    else:
+        attrs = getattr(obj, "__dict__", {})
+        children = ((name, attrs[name]) for name in attrs if not name.startswith("_"))
+    return [item for key, value in children
+            for item in _named_tensors(value, f"{path}.{key}")]
 
 
 # -- forward pass ----------------------------------------------------------------
@@ -627,8 +618,8 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
                             epoch=epoch + 1)
         if val_dice > best_dice:
             best_dice = val_dice
-            best_params = {name: p.data.copy()
-                           for name, p in model.named_params()}
+            # assign replaces a parameter's frozen buffer, so this is a snapshot
+            best_params = {name: p.data for name, p in model.named_params()}
             if out_path is not None:
                 checkpoint_save(model, out_path / "ckpt-best.dbfc", opt=opt,
                                 epoch=epoch + 1)
@@ -683,8 +674,7 @@ def _unpack_section(body: Reader) -> tuple[str, np.ndarray]:
 def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
                     epoch: int = 0) -> None:
     """Self-describing snapshot: config block and named f64 sections, sealed."""
-    sections: list[tuple[str, np.ndarray]] = list(
-        (name, p.data) for name, p in model.named_params())
+    sections = [(name, p.data) for name, p in model.named_params()]
     if opt is not None:
         for name in sorted(opt.m):
             sections.append((f"opt.m.{name}", opt.m[name]))
@@ -703,19 +693,19 @@ def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
 def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
     """Rebuild (model, optimizer state, epoch) from a checkpoint file.
 
-    Optimizer state, when stored, must hold both moments of every parameter,
-    each of its parameter's shape.  The errors of these checks start with
-    ``path``.
+    Every section must be finite.  Optimizer state, when stored, must hold
+    both moments of every parameter, each of its parameter's shape.  The
+    errors of these checks start with ``path``.
     """
     body = unseal(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
     cfg = _unpack_config(body, path)
     (n_sections,) = body.take("<I")
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_sections):
-        name, arr = _unpack_section(body)
-        arrays[name] = arr
+    arrays = dict(_unpack_section(body) for _ in range(n_sections))
     if body.remaining:
         raise FormatError(f"{path}: {body.remaining} trailing bytes after sections")
+    nonfinite = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+    if nonfinite:
+        raise FormatError(f"{path}: non-finite values in sections: {nonfinite[:4]}")
 
     model = Model(cfg)
     named = model.named_params()

@@ -92,6 +92,16 @@ def test_gen_data_rejects_bad_count(tmp_path, capsys):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["-4x8", "0x0"])
+def test_gen_data_rejects_an_image_side_below_4(tmp_path, capsys, size):
+    out = tmp_path / "x.dbfd"
+    code = cli.main(["gen-data", "--domain", "A", "--n", "3",
+                     "--set", f"image_size={size}", "--out", str(out)])
+    assert code == 2
+    assert "image_size sides must be >= 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_unknown_domain_is_usage_error(tmp_path):
     code = cli.main(["gen-data", "--domain", "Z", "--n", "3",
                      "--out", str(tmp_path / "x.dbfd")])
@@ -480,7 +490,7 @@ def test_eval_rejects_a_ver1_checkpoint_with_appearance_sections(
     assert code == 3
     err = capsys.readouterr().err
     assert str(old) in err and "unrecognized sections" in err
-    assert "'appearance.block0a.b'" in err
+    assert "'appearance.blocks.0.0.b'" in err
 
 
 @pytest.mark.parametrize("flags", [["--set", "not_a_key=1"],
@@ -680,6 +690,57 @@ def test_inspect_truncated_dataset(work, tmp_path):
     assert cli.main(["inspect", str(cut)]) == 3
 
 
+def _sealed(body: bytes, path: Path) -> Path:
+    """Write ``body`` to ``path`` behind a valid CRC32 trailer."""
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
+def _inspect_and_eval_exit_3(work, tmp_path, capsys, *, ckpt=None, data=None):
+    """Run ``inspect`` on the bad file and ``eval`` through it; assert that
+    each exits 3 and return their stderr."""
+    errs = []
+    for argv in (["inspect", str(ckpt or data)],
+                 ["eval", "--ckpt", str(ckpt or work["ckpt"]),
+                  "--out", str(tmp_path / "e.csv"), str(data or work["c"])]):
+        assert cli.main(argv) == 3
+        errs.append(capsys.readouterr().err)
+    return errs
+
+
+def test_dataset_with_a_non_finite_image_exits_3(work, tmp_path, capsys):
+    # Header 15 bytes, then per sample a 32x32 f64 image and a u8 mask.
+    raw = bytearray(work["c"].read_bytes()[:-4])
+    at = 15 + 32 * 32 * 9 + 8 * 37
+    raw[at:at + 8] = struct.pack("<d", float("nan"))
+    bad = _sealed(bytes(raw), tmp_path / "nan.dbfd")
+    for err in _inspect_and_eval_exit_3(work, tmp_path, capsys, data=bad):
+        assert f"error: {bad}: sample 1: image holds a non-finite value" in err
+
+
+def test_dataset_declaring_no_samples_exits_3(work, tmp_path, capsys):
+    raw = work["c"].read_bytes()
+    empty = _sealed(raw[:6] + struct.pack("<IHHB", 0, 32, 32, 2),
+                    tmp_path / "empty.dbfd")
+    for err in _inspect_and_eval_exit_3(work, tmp_path, capsys, data=empty):
+        assert f"error: {empty}: the dataset declares 0 samples" in err
+
+
+@pytest.mark.parametrize("section", ["seg.enc0a.w", "opt.v.flow.layers.0.b2"])
+def test_checkpoint_with_a_non_finite_section_exits_3(work, tmp_path, capsys,
+                                                      section):
+    raw = bytearray(work["ckpt"].read_bytes()[:-4])
+    name = struct.pack("<H", len(section)) + section.encode()
+    assert raw.count(name) == 1
+    at = raw.index(name) + len(name)
+    at += 1 + 4 * raw[at]                    # ndim byte, then the shape
+    raw[at:at + 8] = struct.pack("<d", float("inf"))
+    bad = _sealed(bytes(raw), tmp_path / "inf.dbfc")
+    for err in _inspect_and_eval_exit_3(work, tmp_path, capsys, ckpt=bad):
+        assert (f"error: {bad}: non-finite values in sections: ['{section}']"
+                in err)
+
+
 @pytest.mark.parametrize("key", ["tau", "hp.phi_rho", "augment", "hp.mu0"])
 def test_inspect_rejects_config_block_of_another_build(work, tmp_path, capsys,
                                                        monkeypatch, key):
@@ -757,20 +818,21 @@ def test_corrupt_section_shape_is_format_error(work, tmp_path, capsys):
 
 def test_checkpoint_with_reversal_numbered_layers_exits_3(tmp_path, capsys):
     # A layout that counted a parameter-free reversal between MAF layers
-    # named the second one flow.layer2; this build reads it as flow.layer1.
+    # named the second one flow.layers.2; this build reads it as
+    # flow.layers.1.
     cfg = pl.ModelConfig(image_size=(32, 32), channels=2, flow_layers=2,
                          flow_hidden=4)
     path = tmp_path / "old.dbfc"
     pl.checkpoint_save(pl.Model(cfg), path)
     raw = path.read_bytes()[:-4]
-    assert raw.count(b"flow.layer1.") == 4
-    raw = raw.replace(b"flow.layer1.", b"flow.layer2.")
+    assert raw.count(b"flow.layers.1.") == 4
+    raw = raw.replace(b"flow.layers.1.", b"flow.layers.2.")
     path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
     assert cli.main(["inspect", str(path)]) == 3
     err = capsys.readouterr().err
     assert "missing parameters" in err
-    for j in range(4):
-        assert f"'flow.layer1.p{j}'" in err
+    for name in ("w1", "b1", "w2", "b2"):
+        assert f"'flow.layers.1.{name}'" in err
 
 
 # -- top level ---------------------------------------------------------------------

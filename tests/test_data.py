@@ -219,6 +219,14 @@ def test_save_empty_list_errors(tmp_path):
         dataset_save([], tmp_path / "x.dbfd")
 
 
+def test_save_rejects_a_non_finite_image(tmp_path):
+    bad = _tiny(2, 8, 8)
+    bad[1].image[3, 4] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        dataset_save(bad, tmp_path / "x.dbfd")
+    assert not (tmp_path / "x.dbfd").exists()
+
+
 def test_save_rejects_labels_above_num_classes(tmp_path):
     bad = Sample(image=np.random.default_rng(0).normal(size=(4, 4)),
                  mask=np.full((4, 4), 3, dtype=np.int64))

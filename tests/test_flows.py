@@ -141,7 +141,7 @@ def test_reversed_layer_is_reversal_of_identity_ordered_layer(dim):
     # both kinds hold the same w1 draw, up to the reversal
     np.testing.assert_array_equal(layer.w1.data, ref.w1.data[::-1])
     rng = np.random.default_rng(60 + dim)
-    for p in layer.params():
+    for p in (layer.w1, layer.b1, layer.w2, layer.b2):
         p.assign(rng.normal(size=p.shape) * 0.5)
 
     def halves(x):

@@ -70,7 +70,7 @@ def resumed_ckpt_sha(version: str, out_dir) -> str:
 
 PINS = {
     "ver1": {
-        "ckpt": "ff379e92bb28c0b0b72c2093f389f179f018494a94f26b627041053c16c344ec",
+        "ckpt": "678ae35042b7c1793b74513ed0ca79ee862119b34732b739ab388d0b38d1e70e",
         "history": [
             ("epoch=0 dice_val=0.3066881731474003"
              " recon=1.742175985972846 kl_y=0.0 kl_z=3.4979097961945147"
@@ -82,7 +82,7 @@ PINS = {
         "posterior_mean": "1e3f0b30100cbfec2a611d6a32f9bad40e3fbd50a5828d183354f9ab3f4cf606",
     },
     "ver2": {
-        "ckpt": "25158c71652c679d2413b0c62cef696e97e21dbf255107f0e4198eb1ec075796",
+        "ckpt": "35111926cbcc8e3f15549b8952c453dbf0aa843d9aa4d27f05b42504538ba81d",
         "history": [
             ("epoch=0 dice_val=0.003289473684210526"
              " recon=1.659875543966078 kl_y=20455.689310387465"
@@ -96,7 +96,7 @@ PINS = {
         "posterior_mean": "4d8c500203515f63a017262d349adfec55adacc03d130cfbe2f4e4c7d0c6fb46",
     },
     "ver3": {
-        "ckpt": "23f0b882fb21c3c6b7c3443f391f3593a4c1aa4c4e2520be095c267a14e9fa1c",
+        "ckpt": "2086364d37532e5ffcd84e0dc4233944b8d2ea99cebc325bdc16362be84423ac",
         "history": [
             ("epoch=0 dice_val=0.3623569261603902"
              " recon=1.662245612249399 kl_y=0.0 kl_z=3.016578000895393"
@@ -108,7 +108,7 @@ PINS = {
         "posterior_mean": "0a8bcace46990fa80ba4644d08c578f44fd117af0c3bd66dead74c05c2aa26f5",
     },
     "ver4": {
-        "ckpt": "b3d09afa351dc4cd4edffd63216ec1d211cb970ec428f32e5c070ebdfc7788bc",
+        "ckpt": "4ef8670a1bc0d982ca2df38335a6e43240f30af9079c8bfefb73ab6e1fa8fa2f",
         "history": [
             ("epoch=0 dice_val=0.06751595059500834"
              " recon=1.7276411278811035 kl_y=20460.374725140868"
@@ -123,7 +123,7 @@ PINS = {
         "posterior_mean": "f1b6add6f6c330d247924d24ca311e87c2ef03d44811085843ed0aa4f446deab",
     },
     "ver5": {
-        "ckpt": "dbf35db16a7786dfcdcbbe914dd14b68c5a7cbb2dc2e94ec586099ff00571496",
+        "ckpt": "fd8f4a4b643fad19ff74491a04bbb8b5db7ec71eadeadb43323c619e1f1390a4",
         "history": [
             ("epoch=0 dice_val=0.0 recon=1.6379963755438058"
              " kl_y=20453.1951431139 kl_z=31.98437980554497"

@@ -71,6 +71,12 @@ def test_config_validation():
         pl.ModelConfig(hp=Hyperpriors(phi_omega=-1.0))
 
 
+@pytest.mark.parametrize("size", [(0, 0), (-4, 8), (8, 0)])
+def test_image_size_sides_must_be_at_least_4(size):
+    with pytest.raises(ValueError, match=r"image_size sides must be >= 4"):
+        pl.ModelConfig(image_size=size)
+
+
 def test_config_items_round_trip():
     cfg = _tiny_cfg(hp=Hyperpriors(phi_rho=1e-3, beta_pi=3.0))
     items = pl.config_items(cfg)
@@ -340,8 +346,46 @@ def test_gradient_reaches_every_param_group():
         group = name.split(".")[0]
         if p.grad is not None:
             norms[group] = norms.get(group, 0.0) + float(np.abs(p.grad).sum())
-    for group in ("appearance", "shape", "seg", "flow"):
+    for group in ("appearance", "shape_enc", "seg", "flow"):
         assert norms.get(group, 0.0) > 1e-12, f"no gradient in {group}"
+
+
+class _GatedEncoder(pl.ResEncoder):
+    """A ResEncoder with one more public block, which its pass uses."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.gate = pl.Conv(1, 1, np.random.default_rng(11))
+
+    def __call__(self, x):
+        mu, lv = super().__call__(x)
+        return self.gate(mu), lv
+
+
+def test_a_block_added_to_a_module_is_trained_and_saved(tmp_path, monkeypatch):
+    # No list names the gate: the parameter walk finds it, so Adam trains it
+    # and the checkpoint keeps it.
+    monkeypatch.setattr(pl, "ResEncoder", _GatedEncoder)
+    cfg = _tiny_cfg()
+    model = pl.Model(cfg)
+    named = dict(model.named_params())
+    gate = [name for name in named if ".gate." in name]
+    assert gate == ["appearance.gate.w", "appearance.gate.b",
+                    "shape_enc.gate.w", "shape_enc.gate.b"]
+    start = {name: named[name].data for name in gate}
+    opt = pl.Adam(model.named_params(), cfg.learning_rate, cfg.weight_decay)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        pl.train_step(_toy_samples(4, 16, 16), model, opt, rng)
+    for name in gate:
+        assert not np.array_equal(named[name].data, start[name]), name
+    path = tmp_path / "gated.dbfc"
+    pl.checkpoint_save(model, path, opt=opt, epoch=1)
+    loaded, state, _ = pl.checkpoint_load(path)
+    loaded_named = dict(loaded.named_params())
+    for name in gate:
+        np.testing.assert_array_equal(loaded_named[name].data, named[name].data)
+        np.testing.assert_array_equal(state["m"][name], opt.m[name])
 
 
 def test_recon_term_decreases_over_training():

@@ -1,15 +1,20 @@
-"""The names that the traced bench run wraps must exist in flowseg.
+"""The names that the traced bench run wraps must exist in flowseg, and run.
 
 ``perfbench/spans.py`` wraps public functions where their callers look them
 up (``pipeline.forward``, ``pipeline.sde_girsanov_sample_field``,
 ``cli.fit``, ...).  Renaming or removing one of them breaks the traced run,
-so entering its instrumentation is checked here.
+so entering its instrumentation is checked here.  A name that still exists
+but that ``pipeline`` no longer calls through would make its layer read 0,
+so a traced step and evaluation must record a span for every layer.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import flowseg.cli as cli
+import flowseg.data as fd
 import flowseg.pipeline as pl
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -31,3 +36,26 @@ def test_instrument_wraps_every_name_and_restores_it():
         assert cli.fit is not fit
     assert {name: getattr(pl, name) for name in dir(pl)} == before
     assert cli.fit is fit
+
+
+LAYER_SPANS = ("diffcore.conv2d", "diffcore.backward", "sde.sample_field",
+               "flows.flow_push", "ncvi.mc_kl", "ncvi.refresh_state",
+               "ncvi.kl_terms", "spatial.grad_sqnorm", "spatial.gumbel_softmax",
+               "spatial.dice_ce_loss_per_item", "pipeline.Adam.step",
+               "pipeline.train_step", "pipeline.evaluate")
+
+
+def test_a_traced_step_and_evaluation_record_every_layer():
+    spans = _load_spans()
+    cfg = pl.config_for_version(
+        pl.ModelConfig(image_size=(32, 32), channels=2, flow_kl_samples=8,
+                       batch_size=2), "ver5")
+    samples = fd.gen_dataset(fd.DOMAINS["A"], 2, image_size=(32, 32))
+    model = pl.Model(cfg)
+    opt = pl.Adam(model.named_params(), cfg.learning_rate)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        pl.train_step(samples, model, opt, np.random.default_rng(0))
+        pl.evaluate(samples, model)
+    recorded = {span.name for span in tracer.spans}
+    assert [name for name in LAYER_SPANS if name not in recorded] == []
