@@ -16,7 +16,14 @@ from typing import Callable
 
 
 class FormatError(ValueError):
-    """A binary file failed magic, version, length, or checksum validation."""
+    """A binary file failed magic, version, length, or checksum validation;
+    the message starts with the file's path, so a multi-file command names it."""
+
+    def __init__(self, path, message: str):
+        super().__init__(path, message)
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}: {self.args[1]}"
 
 
 DATASET_MAGIC = b"DBFD"
@@ -53,10 +60,11 @@ class Writer:
 
 
 class Reader:
-    """Sequential reads over a body that fail instead of running off its end."""
+    """Sequential reads over a file's body that fail instead of running off its end."""
 
-    def __init__(self, view: memoryview):
+    def __init__(self, view: memoryview, path):
         self.view = view
+        self.path = path
         self.pos = 0
 
     @property
@@ -66,7 +74,7 @@ class Reader:
     def take_bytes(self, n: int) -> memoryview:
         if n > self.remaining:
             raise FormatError(
-                f"truncated body: wanted {n} bytes at offset {self.pos}, "
+                self.path, f"truncated body: wanted {n} bytes at offset {self.pos}, "
                 f"have {self.remaining}")
         out = self.view[self.pos:self.pos + n]
         self.pos += n
@@ -80,18 +88,19 @@ class Reader:
         try:
             return str(self.take_bytes(length), "utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError(f"string at offset {self.pos - length} is not UTF-8") from exc
+            raise FormatError(
+                self.path, f"string at offset {self.pos - length} is not UTF-8") from exc
 
 
 def _check_prefix(raw, magic: bytes, path, min_size: int) -> None:
     if len(raw) < min_size:
-        raise FormatError(f"file too short ({len(raw)} bytes): {path}")
+        raise FormatError(path, f"file too short ({len(raw)} bytes)")
     found, version = _PREFIX.unpack_from(raw)
     if found != magic:
-        raise FormatError(f"bad magic: expected {magic!r}, found {found!r}")
+        raise FormatError(path, f"bad magic: expected {magic!r}, found {found!r}")
     if version != VERSION:
         raise FormatError(
-            f"unsupported version: expected {VERSION}, found {version}")
+            path, f"unsupported version: expected {VERSION}, found {version}")
 
 
 def read_head(path: str | Path, magic: bytes, head: str) -> tuple:
@@ -120,15 +129,15 @@ def unseal(raw: bytes, magic: bytes, path: str | Path, head: str = "<",
         expected = fixed + payload_size(*fields)
         if len(view) != expected:
             raise FormatError(
-                f"truncated or oversized file: expected {expected} bytes, "
+                path, f"truncated or oversized file: expected {expected} bytes, "
                 f"found {len(view)}")
     (stored_crc,) = _CRC.unpack_from(view, len(view) - _CRC.size)
     actual_crc = zlib.crc32(view[:-_CRC.size])
     if stored_crc != actual_crc:
         raise FormatError(
-            f"checksum mismatch: stored {stored_crc:#010x}, "
+            path, f"checksum mismatch: stored {stored_crc:#010x}, "
             f"computed {actual_crc:#010x}")
-    return Reader(view[_PREFIX.size:-_CRC.size])
+    return Reader(view[_PREFIX.size:-_CRC.size], path)
 
 
 def sniff(path: str | Path) -> str:
@@ -137,7 +146,7 @@ def sniff(path: str | Path) -> str:
         magic = f.read(len(DATASET_MAGIC))
     if magic not in _KINDS:
         known = " or ".join(f"{m.decode()} ({kind})" for m, kind in _KINDS.items())
-        raise FormatError(f"unrecognized magic {magic!r}; expected {known}")
+        raise FormatError(path, f"unrecognized magic {magic!r}; expected {known}")
     return _KINDS[magic]
 
 

@@ -212,18 +212,18 @@ def dataset_load(path: str | Path) -> list[Sample]:
                   _payload_size)
     n, h, w, k = body.take(_HEAD)
     if n == 0:
-        raise FormatError(f"{path}: the dataset declares 0 samples")
+        raise FormatError(path, "the dataset declares 0 samples")
     samples = []
     for i in range(n):
         img = np.frombuffer(body.take_bytes(h * w * 8),
                             dtype="<f8").reshape(h, w).copy()
         if not np.isfinite(img).all():
-            raise FormatError(f"{path}: sample {i}: image holds a non-finite value")
+            raise FormatError(path, f"sample {i}: image holds a non-finite value")
         mask = np.frombuffer(body.take_bytes(h * w),
                              dtype=np.uint8).reshape(h, w).astype(np.int64)
         if mask.max(initial=0) >= k:
             raise FormatError(
-                f"{path}: sample {i}: mask label {mask.max()} >= declared K {k}")
+                path, f"sample {i}: mask label {mask.max()} >= declared K {k}")
         samples.append(Sample(image=img, mask=mask))
     return samples
 

@@ -428,11 +428,12 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     x_taps = _taps(xa)
     res = _finite_or_raise(_correlate(x_taps, wa, xa.shape[3]), "conv2d")
 
+    # The closure keeps x's own buffer, not a padded copy: backward pads again.
     def backward(g: np.ndarray) -> None:
         g_taps = _taps(g)
         if w.requires_grad:
             # the centre tap of g is g in rows W+2 wide, zero past column W
-            dw = [(g_taps[4] @ xk.transpose(0, 2, 1)).sum(axis=0) for xk in x_taps]
+            dw = [(g_taps[4] @ xk.transpose(0, 2, 1)).sum(axis=0) for xk in _taps(xa)]
             _accumulate(w, np.stack(dw, axis=-1).reshape(wa.shape))
         if x.requires_grad:
             # full correlation of the upstream gradient with the flipped kernel

@@ -636,7 +636,7 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
 
 # -- checkpoints ------------------------------------------------------------------------
 
-def _unpack_config(body: Reader, path: str | Path) -> ModelConfig:
+def _unpack_config(body: Reader) -> ModelConfig:
     """Read the config block, which is ``config_text`` of the config's items."""
     defaults = config_items(ModelConfig())
     lines = [line.partition(" = ") for line in body.take_str().splitlines()]
@@ -644,13 +644,13 @@ def _unpack_config(body: Reader, path: str | Path) -> ModelConfig:
     keys = defaults.keys()
     unknown, missing = sorted(items.keys() - keys), sorted(keys - items.keys())
     if unknown or missing:
-        raise FormatError(f"{path}: config block does not match this build: "
+        raise FormatError(body.path, "config block does not match this build: "
                           f"unknown keys {unknown}, missing keys {missing}")
     try:
         return config_from_items({name: parse_value(defaults[name], raw)
                                   for name, raw in items.items()})
     except ValueError as exc:
-        raise FormatError(f"{path}: config block: {exc}") from exc
+        raise FormatError(body.path, f"config block: {exc}") from exc
 
 
 def _pack_section(out: Writer, name: str, arr: np.ndarray) -> None:
@@ -666,7 +666,7 @@ def _unpack_section(body: Reader) -> tuple[str, np.ndarray]:
     shape = body.take(f"<{ndim}I")
     count = math.prod(shape)  # exact: a corrupt shape must not wrap to a small count
     if count * 8 > body.remaining:
-        raise FormatError(f"section {name!r}: shape {shape} overruns the checkpoint body")
+        raise FormatError(body.path, f"section {name!r}: shape {shape} overruns the body")
     data = np.frombuffer(body.take_bytes(count * 8), dtype="<f8")
     return name, data.reshape(shape).copy()
 
@@ -694,29 +694,28 @@ def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
     """Rebuild (model, optimizer state, epoch) from a checkpoint file.
 
     Every section must be finite.  Optimizer state, when stored, must hold
-    both moments of every parameter, each of its parameter's shape.  The
-    errors of these checks start with ``path``.
+    both moments of every parameter, each of its parameter's shape.
     """
     body = unseal(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
-    cfg = _unpack_config(body, path)
+    cfg = _unpack_config(body)
     (n_sections,) = body.take("<I")
     arrays = dict(_unpack_section(body) for _ in range(n_sections))
     if body.remaining:
-        raise FormatError(f"{path}: {body.remaining} trailing bytes after sections")
+        raise FormatError(path, f"{body.remaining} trailing bytes after sections")
     nonfinite = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
     if nonfinite:
-        raise FormatError(f"{path}: non-finite values in sections: {nonfinite[:4]}")
+        raise FormatError(path, f"non-finite values in sections: {nonfinite[:4]}")
 
     model = Model(cfg)
     named = model.named_params()
     missing = [name for name, _ in named if name not in arrays]
     if missing:
-        raise FormatError(f"{path}: missing parameters: {missing[:4]}")
+        raise FormatError(path, f"missing parameters: {missing[:4]}")
     for name, p in named:
         arr = arrays.pop(name)
         if arr.shape != p.data.shape:
             raise FormatError(
-                f"{path}: parameter {name}: stored shape {arr.shape} != model "
+                path, f"parameter {name}: stored shape {arr.shape} != model "
                 f"shape {p.data.shape}")
         p.assign(arr)
 
@@ -732,13 +731,13 @@ def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
                    if name not in opt_state["m"] or name not in opt_state["v"]]
         if missing:
             raise FormatError(
-                f"{path}: optimizer state is missing moments for: {missing}")
+                path, f"optimizer state is missing moments for: {missing}")
         misshapen = [name for name, p in named
                      if opt_state["m"][name].shape != p.data.shape
                      or opt_state["v"][name].shape != p.data.shape]
         if misshapen:
-            raise FormatError(f"{path}: optimizer moments differ in shape from "
+            raise FormatError(path, "optimizer moments differ in shape from "
                               f"their parameters for: {misshapen}")
     if arrays:
-        raise FormatError(f"{path}: unrecognized sections: {sorted(arrays)[:4]}")
+        raise FormatError(path, f"unrecognized sections: {sorted(arrays)[:4]}")
     return model, opt_state, epoch

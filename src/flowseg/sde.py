@@ -2,11 +2,12 @@
 
 The process dZ = (mu - Z) dt + sigma dW runs from t=0 to a fixed horizon on
 a uniform grid.  Sampling is reparameterized: the Wiener increments are
-drawn once as constants and the recursion is built from differentiable ops,
-so gradients reach mu and sigma through the whole path.  The Girsanov
-log Radon-Nikodym weight of the drifted measure against the driftless one
-is accumulated at left endpoints; it is reported detached because weights
-enter the loss only as importance factors.
+drawn once as constants and the recursion runs on plain arrays.  Each step
+is affine in (mu, sigma, z0), so the path is one tape node whose closure
+runs the adjoint recursion over the increments, last step first.  The
+Girsanov log Radon-Nikodym weight of the drifted measure against the
+driftless one is accumulated at left endpoints; it is reported detached
+because weights enter the loss only as importance factors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import DomainError, Tensor
+from .diffcore import DomainError, Tensor, _accumulate, _finite_or_raise, _unbroadcast
 
 
 @dataclass
@@ -46,7 +47,7 @@ class OuParams:
 
 @dataclass
 class DiffusionPath:
-    """Recorded trajectory: states Z_0..Z_N and the Wiener increments."""
+    """States Z_0..Z_N (Z_N the path's tape node, Z_1..Z_{N-1} detached) and increments."""
 
     states: list[Tensor]
     increments: list[np.ndarray]
@@ -66,19 +67,34 @@ def euler_maruyama(params: OuParams, z0, rng: np.random.Generator,
     dropped, which simulates the reference (driftless) measure on the same
     grid; the Girsanov weight of a drifted law can then be evaluated on it.
     """
-    z = z0 if isinstance(z0, Tensor) else Tensor(z0)
-    dt = params.dt
+    z0 = z0 if isinstance(z0, Tensor) else Tensor(z0)
+    mu, sigma, dt = params.mu, params.sigma, params.dt
     sqrt_dt = np.sqrt(dt)
-    states = [z]
+    z = z0.data
+    states = [z0]
     increments: list[np.ndarray] = []
     for _ in range(params.n_steps):
         eps = rng.standard_normal(z.shape) * sqrt_dt
         increments.append(eps)
-        step = params.sigma * Tensor(eps)
+        step = _finite_or_raise(sigma.data * eps, "mul")
         if drifted:
-            step = (params.mu - z) * dt + step
-        z = z + step
-        states.append(z)
+            drift = _finite_or_raise(_finite_or_raise(mu.data - z, "sub") * dt, "mul")
+            step = _finite_or_raise(drift + step, "add")
+        z = _finite_or_raise(z + step, "add")
+        states.append(Tensor._from_op(z, (), None))
+
+    # Only Z_0 can be narrower than the broadcast shape of the later states.
+    def backward(g: np.ndarray) -> None:
+        for eps in reversed(increments):
+            if sigma.requires_grad:
+                _accumulate(sigma, _unbroadcast(g * eps, sigma.shape))
+            if drifted and mu.requires_grad:
+                _accumulate(mu, _unbroadcast(g * dt, mu.shape))
+            g = g + (-(g * dt)) if drifted else g
+        if z0.requires_grad:
+            _accumulate(z0, _unbroadcast(g, z0.shape))
+
+    states[-1] = Tensor._from_op(z, (mu, sigma, z0) if drifted else (sigma, z0), backward)
     return DiffusionPath(states=states, increments=increments, dt=dt, drifted=drifted)
 
 

@@ -473,6 +473,17 @@ def test_eval_corrupt_checkpoint_is_io_error(work, tmp_path):
     assert code == 3
 
 
+def test_eval_names_the_corrupt_one_of_two_targets(work, tmp_path, capsys):
+    bad = tmp_path / "flipped.dbfd"
+    raw = bytearray(work["d"].read_bytes())
+    raw[40] ^= 0x01
+    bad.write_bytes(bytes(raw))
+    code = cli.main(["eval", "--ckpt", str(work["ckpt"]),
+                     "--out", str(tmp_path / "e.csv"), str(work["c"]), str(bad)])
+    assert code == 3
+    assert f"error: {bad}: checksum mismatch" in capsys.readouterr().err
+
+
 def test_eval_rejects_a_ver1_checkpoint_with_appearance_sections(
         work, tmp_path, capsys):
     # ver1 and ver3 checkpoints written while every variant built the

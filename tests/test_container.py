@@ -1,5 +1,6 @@
 """Tests for the shared binary envelope: pinned bytes, atomic writes, reads."""
 
+import re
 import zlib
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_sniff_names_kind_or_rejects(tmp_path):
     assert fc.sniff(tmp_path / "c.dbfc") == "checkpoint"
     (tmp_path / "x").write_bytes(b"NO")
     with pytest.raises(fc.FormatError,
-                       match=r"b'NO'; expected DBFD \(dataset\) or DBFC \(checkpoint\)"):
+                       match=rf"^{re.escape(str(tmp_path / 'x'))}: unrecognized magic b'NO'; expected DBFD \(dataset\) or DBFC \(checkpoint\)"):
         fc.sniff(tmp_path / "x")
 
 
@@ -111,17 +112,23 @@ def test_unseal_check_order():
     body = fc.unseal(raw, b"TEST", "t", "<I", size)
     assert body.take("<I") == (3,)
     assert bytes(body.take_bytes(3)) == b"abc" and body.remaining == 0
-    with pytest.raises(fc.FormatError, match="truncated body"):
+    with pytest.raises(fc.FormatError, match="^t: truncated body"):
         body.take_bytes(1)
 
     # Each corruption also breaks the CRC; the earlier check must win.
-    with pytest.raises(fc.FormatError, match="too short"):
+    with pytest.raises(fc.FormatError, match="^t: file too short"):
         fc.unseal(raw[:9], b"TEST", "t", "<I", size)
-    with pytest.raises(fc.FormatError, match="magic"):
+    with pytest.raises(fc.FormatError, match="^t: bad magic"):
         fc.unseal(b"NOPE" + raw[4:], b"TEST", "t", "<I", size)
-    with pytest.raises(fc.FormatError, match="version: expected 1, found 2"):
+    with pytest.raises(fc.FormatError, match="^t: unsupported version: expected 1, found 2"):
         fc.unseal(raw[:4] + b"\x02" + raw[5:], b"TEST", "t", "<I", size)
-    with pytest.raises(fc.FormatError, match="expected 17 bytes, found 16"):
+    with pytest.raises(fc.FormatError, match="^t: truncated or oversized file: expected 17 bytes, found 16"):
         fc.unseal(raw[:-5] + raw[-4:], b"TEST", "t", "<I", size)
-    with pytest.raises(fc.FormatError, match="checksum"):
+    with pytest.raises(fc.FormatError, match="^t: checksum"):
         fc.unseal(raw[:10] + b"x" + raw[11:], b"TEST", "t", "<I", size)
+    # A reader of the body names its file too.
+    bad = fc.Writer(b"TEST")
+    bad.put("<H", 1)
+    bad.put_bytes(b"\xff")
+    with pytest.raises(fc.FormatError, match="^t: string at offset 2 is not UTF-8"):
+        fc.unseal(bytes(bad.seal()), b"TEST", "t").take_str()

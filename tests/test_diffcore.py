@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -156,6 +157,21 @@ def test_conv2d_backward_with_one_operand_requiring_grad(x_grad):
     grad, ref, other = (x.grad, dx_ref, w.grad) if x_grad else (w.grad, dw_ref, x.grad)
     np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-12)
     assert other is None
+
+
+def test_conv2d_keeps_no_padded_copy_of_its_input():
+    # The closure keeps x, which x's own node holds already, and pads it
+    # again in backward; a padded copy would add (H+3)(W+2)/(HW) of x.
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(4, 8, 32, 32)), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        y = conv2d(x, w)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1.1 * y.data.nbytes, f"{held} bytes held for a {y.data.nbytes}-byte output"
 
 
 def test_conv2d_overflow_raises_without_warning():

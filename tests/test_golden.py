@@ -82,30 +82,30 @@ PINS = {
         "posterior_mean": "1e3f0b30100cbfec2a611d6a32f9bad40e3fbd50a5828d183354f9ab3f4cf606",
     },
     "ver2": {
-        "ckpt": "35111926cbcc8e3f15549b8952c453dbf0aa843d9aa4d27f05b42504538ba81d",
+        "ckpt": "fdb6d89f739cce02c097d3b02f845cdac7b3953b8efff4cdcd85332e3e6a736b",
         "history": [
             ("epoch=0 dice_val=0.003289473684210526"
              " recon=1.659875543966078 kl_y=20455.689310387465"
              " kl_z=31.984379806223362 kl_x=24575.99975577954"
              " kl_m=4132.743935726734 loss=1202.7442842768753"),
             ("epoch=1 dice_val=0.0 recon=1.641530859779003"
-             " kl_y=20457.650645408976 kl_z=31.98437980150008"
+             " kl_y=20457.650645408976 kl_z=31.98437980150615"
              " kl_x=24575.99975488786 kl_m=4104.384213009481"
-             " loss=1202.0814476837002"),
+             " loss=1202.0814476837004"),
         ],
-        "posterior_mean": "4d8c500203515f63a017262d349adfec55adacc03d130cfbe2f4e4c7d0c6fb46",
+        "posterior_mean": "60228246b5c460a23fea289c3d3ee5dc7899302d854ba8277f005623dbfb616e",
     },
     "ver3": {
-        "ckpt": "2086364d37532e5ffcd84e0dc4233944b8d2ea99cebc325bdc16362be84423ac",
+        "ckpt": "65e7d8d8d1963874b49e842d50807159ecbb4d17c49c031245099c817bf3aebf",
         "history": [
             ("epoch=0 dice_val=0.3623569261603902"
-             " recon=1.662245612249399 kl_y=0.0 kl_z=3.016578000895393"
+             " recon=1.662245612249399 kl_y=0.0 kl_z=3.0165780008953917"
              " kl_x=0.0 kl_m=0.0 loss=1.735892536099384"),
             ("epoch=1 dice_val=0.34241987462401796"
-             " recon=1.6632559097514903 kl_y=0.0 kl_z=2.6229857977618622"
+             " recon=1.6632559097514903 kl_y=0.0 kl_z=2.6229857977618614"
              " kl_x=0.0 kl_m=0.0 loss=1.7272936489546604"),
         ],
-        "posterior_mean": "0a8bcace46990fa80ba4644d08c578f44fd117af0c3bd66dead74c05c2aa26f5",
+        "posterior_mean": "f7e78729c76312d400169bc014b5b8cd0d9769e84d9b0d3b4acd1d06a1eda06b",
     },
     "ver4": {
         "ckpt": "4ef8670a1bc0d982ca2df38335a6e43240f30af9079c8bfefb73ab6e1fa8fa2f",
@@ -123,7 +123,7 @@ PINS = {
         "posterior_mean": "f1b6add6f6c330d247924d24ca311e87c2ef03d44811085843ed0aa4f446deab",
     },
     "ver5": {
-        "ckpt": "fd8f4a4b643fad19ff74491a04bbb8b5db7ec71eadeadb43323c619e1f1390a4",
+        "ckpt": "28c408db5a8ab37c26af947f0469c700dd5c36320f58bfd016732723c239be3d",
         "history": [
             ("epoch=0 dice_val=0.0 recon=1.6379963755438058"
              " kl_y=20453.1951431139 kl_z=31.98437980554497"
@@ -134,7 +134,7 @@ PINS = {
              " kl_x=24575.999754868633 kl_m=4103.918425277106"
              " flow_kl=0.0003465150534906018 loss=1202.2033048423975"),
         ],
-        "posterior_mean": "8418e072d471c0796a957a69f5705b4f8b796398034951cd1b80cf8229719b31",
+        "posterior_mean": "037f498b3cd37779379c2ab05caadd546cadfdce72e8fe0b18d125a82e9298d5",
     },
 }
 

@@ -178,6 +178,29 @@ def test_gradient_flows_through_recursion():
     assert grad_check(fn_sigma, Tensor([0.6, 0.9, 1.2])) < 1e-6
 
 
+@pytest.mark.parametrize("drifted", [True, False])
+def test_path_node_gradient_matches_finite_differences(drifted):
+    # The path is one tape node whose closure runs the adjoint recursion;
+    # mu is broadcast over rows, and the square makes the upstream gradient
+    # depend on the state.
+    rng = np.random.default_rng(8)
+    mu = rng.normal(size=(1, 4))
+    sigma = rng.uniform(0.3, 1.0, size=(3, 4))
+    z0 = rng.normal(size=(3, 4))
+    weights = Tensor(rng.normal(size=(3, 4)))
+
+    def loss(mu_t, sigma_t, z0_t):
+        params = OuParams(mu=mu_t, sigma=sigma_t, n_steps=5)
+        path = euler_maruyama(params, z0_t, np.random.default_rng(9), drifted)
+        return (path.terminal * weights).square().sum()
+
+    errs = [grad_check(lambda t: loss(Tensor(mu), t, Tensor(z0)), Tensor(sigma)),
+            grad_check(lambda t: loss(Tensor(mu), Tensor(sigma), t), Tensor(z0))]
+    if drifted:
+        errs.append(grad_check(lambda t: loss(t, Tensor(sigma), Tensor(z0)), Tensor(mu)))
+    assert max(errs) < 1e-8, errs
+
+
 def test_sample_propagates_gradients_to_params():
     rng = np.random.default_rng(6)
     mu = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
