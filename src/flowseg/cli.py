@@ -161,7 +161,6 @@ def cmd_gen_data(args) -> int:
     cfg, explicit = effective_config(args)
     if args.domain is not None:
         cfg["domain"] = args.domain
-        explicit.add("domain")
     if args.n is not None:
         cfg["n"] = args.n
     if cfg["n"] <= 0:

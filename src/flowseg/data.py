@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .container import (DATASET_MAGIC, FormatError, Writer, atomic_write,
                         read_head, unseal)
@@ -58,14 +57,15 @@ class DomainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.bias_amplitude < 0.0:
+        if not 0.0 <= self.noise_sigma < np.inf:
             raise ValueError(
-                f"bias_amplitude must be >= 0, got {self.bias_amplitude}")
-        if self.contrast_gamma <= 0.0:
-            raise ValueError(
-                f"contrast_gamma must be > 0, got {self.contrast_gamma}")
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.bias_amplitude < np.inf:
+            raise ValueError(f"bias_amplitude must be finite and >= 0, "
+                             f"got {self.bias_amplitude}")
+        if not 0.0 < self.contrast_gamma < np.inf:
+            raise ValueError(f"contrast_gamma must be finite and > 0, "
+                             f"got {self.contrast_gamma}")
 
 
 # A is the mild source domain; C is deliberately harsh (heavy noise, strong
@@ -95,11 +95,29 @@ def zscore(image: np.ndarray) -> np.ndarray:
     return (image - image.mean()) / sd
 
 
+def _bilinear_axis(n_coarse: int, n: int):
+    """The two source indices and their weights for each of n points spread
+    corner to corner over a coarse axis of n_coarse samples. Only the upper
+    index can step past the last sample, so only it is clamped. The upper
+    weight is 1 - w0, not g - lo: that is how scipy rounds it."""
+    g = np.linspace(0.0, n_coarse - 1.0, n)
+    lo = np.floor(g)
+    w0 = 1.0 - (g - lo)
+    i0 = lo.astype(np.intp)
+    return ((i0, w0), (np.minimum(i0 + 1, n_coarse - 1), 1.0 - w0))
+
+
 def _upsample_bilinear(coarse: np.ndarray, h: int, w: int) -> np.ndarray:
-    gi = np.linspace(0.0, coarse.shape[0] - 1.0, h)
-    gj = np.linspace(0.0, coarse.shape[1] - 1.0, w)
-    ii, jj = np.meshgrid(gi, gj, indexing="ij")
-    return map_coordinates(coarse, [ii, jj], order=1, mode="nearest")
+    """Bilinear upsampling with edge-clamped indices. The weights, the corner
+    order and the product order are those of scipy's
+    map_coordinates(order=1, mode="nearest"), so the two agree bit for bit."""
+    rows = _bilinear_axis(coarse.shape[0], h)
+    cols = _bilinear_axis(coarse.shape[1], w)
+    out = np.zeros((h, w))
+    for r, wr in rows:
+        for c, wc in cols:
+            out += (coarse[r][:, c] * wr[:, None]) * wc[None, :]
+    return out
 
 
 def _gen_sample(domain: DomainConfig, h: int, w: int,

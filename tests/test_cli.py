@@ -120,6 +120,20 @@ def test_gen_data_domain_overrides(tmp_path):
     assert out.read_bytes() != plain.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--noise-sigma", "--bias-amplitude",
+                                  "--contrast-gamma"])
+def test_gen_data_rejects_a_non_finite_domain_override(tmp_path, capsys,
+                                                       flag, value):
+    out = tmp_path / "x.dbfd"
+    code = cli.main(["gen-data", "--domain", "A", "--n", "3", flag, value,
+                     "--set", f"image_size={SIZE}", "--out", str(out)])
+    assert code == 2
+    field = flag[2:].replace("-", "_")
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- config handling --------------------------------------------------------------
 
 

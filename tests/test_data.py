@@ -5,10 +5,12 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from flowseg.data import (DOMAINS, BlobConfig, DomainConfig, FormatError,
-                          Sample, dataset_load, dataset_meta, dataset_save,
-                          dice_score, gen_dataset, pgm_write, zscore)
+                          Sample, _upsample_bilinear, dataset_load,
+                          dataset_meta, dataset_save, dice_score, gen_dataset,
+                          pgm_write, zscore)
 
 
 def _clean_domain(**overrides):
@@ -87,6 +89,20 @@ def test_gen_rejects_bad_counts_and_radii():
                                          center_jitter=6.0))
     with pytest.raises(ValueError):
         gen_dataset(huge, 1)
+
+
+@pytest.mark.parametrize("grid", [(8, 8), (2, 2), (3, 7), (11, 5), (1, 4)])
+@pytest.mark.parametrize("size", [(64, 64), (32, 48), (37, 53), (5, 129),
+                                  (1, 9)])
+def test_upsample_bilinear_equals_scipy_map_coordinates(grid, size):
+    # scipy is the oracle: the texture upsampling must stay bit-for-bit its
+    # order-1, edge-clamped interpolation, or every dataset file changes.
+    coarse = np.random.default_rng(0).standard_normal(grid)
+    h, w = size
+    ii, jj = np.meshgrid(np.linspace(0.0, grid[0] - 1.0, h),
+                         np.linspace(0.0, grid[1] - 1.0, w), indexing="ij")
+    want = map_coordinates(coarse, [ii, jj], order=1, mode="nearest")
+    assert np.array_equal(_upsample_bilinear(coarse, h, w), want)
 
 
 def test_domain_config_validation():
