@@ -11,7 +11,8 @@ disjoint graphs may be walked in different threads, and one thread walks a
 given graph at a time.  Tensor value buffers are frozen after creation;
 updates replace the buffer rather than mutating it, so a recorded graph can
 always be replayed.  An operation whose parents all need no grad records
-nothing, so a computation on detached tensors keeps no tape.
+nothing, so a computation on detached tensors keeps no tape.  ``add_tanh``
+is tanh(a + b) as one node, which keeps the tanh but never the sum.
 """
 
 from __future__ import annotations
@@ -215,6 +216,24 @@ class Tensor:
 
         return Tensor._from_op(res, (self,), backward)
 
+    def add_tanh(self, other: "Tensor") -> "Tensor":
+        """tanh(self + other) as one node: the sum is never kept."""
+        a, b = self.data, other.data
+        try:
+            res = np.add(a, b)
+        except ValueError as exc:
+            raise ShapeError(f"add_tanh: shapes {a.shape} and {b.shape} do not conform") from exc
+        np.tanh(_finite_or_raise(res, "add_tanh"), out=res)
+
+        def backward(g: np.ndarray) -> None:
+            gs = g * (1.0 - res * res)
+            if self.requires_grad:
+                _accumulate(self, _unbroadcast(gs, self.shape))
+            if other.requires_grad:
+                _accumulate(other, _unbroadcast(gs, other.shape))
+
+        return Tensor._from_op(res, (self, other), backward)
+
     def square(self) -> "Tensor":
         res = _finite_or_raise(self.data * self.data, "square")
 
@@ -403,14 +422,21 @@ def _taps(x: np.ndarray) -> list[np.ndarray]:
 
 def _correlate(taps: list[np.ndarray], w: np.ndarray, width: int) -> np.ndarray:
     """3x3 correlation from ``_taps``: nine GEMMs per item, wrapped row ends cropped."""
-    acc = np.zeros((taps[0].shape[0], w.shape[0], taps[0].shape[2]))
-    w_taps = w.transpose(2, 3, 0, 1).reshape(9, *w.shape[:2])
+    (b, c_in, n), c_out = taps[0].shape, w.shape[0]
+    out = np.empty((b, c_out, n // (width + 2), width))
+    acc, tmp = np.empty((c_out, n)), np.empty((c_out, n))
+    w_taps = w.transpose(2, 3, 0, 1).reshape(9, c_out, c_in)
+    # one channel: a broadcast product rounds once, as the rank-1 GEMM does
+    product = np.multiply if c_in == 1 else np.matmul
     # overflow is reported by _finite_or_raise, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for out, *xs in zip(acc, *taps):
-            for wk, xk in zip(w_taps, xs):
-                out += wk @ xk
-    return acc.reshape(*acc.shape[:2], -1, width + 2)[..., :width]
+        for i in range(b):
+            acc.fill(0.0)
+            for wk, xk in zip(w_taps, taps):
+                product(wk, xk[i], out=tmp)
+                acc += tmp
+            out[i] = acc.reshape(c_out, -1, width + 2)[..., :width]
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor) -> Tensor:

@@ -68,7 +68,7 @@ class MafLayer:
         self.b2 = Tensor(np.zeros(2 * dim), requires_grad=True)
 
     def _conditioner(self, u: Tensor) -> tuple[Tensor, Tensor]:
-        h = (u.matmul(self.w1 * self._mask1) + self.b1).tanh()
+        h = u.matmul(self.w1 * self._mask1).add_tanh(self.b1)
         sa = h.matmul(self.w2 * self._mask2) + self.b2
         shift = sa.slice(1, 0, self.dim)
         log_scale = _bounded_log_scale(sa.slice(1, self.dim, 2 * self.dim))

@@ -185,6 +185,10 @@ class Conv:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.w) + self.b.reshape((1, -1, 1, 1))
 
+    def tanh(self, x: Tensor) -> Tensor:
+        """tanh(self(x)) with the bias add and tanh as one tape node."""
+        return conv2d(x, self.w).add_tanh(self.b.reshape((1, -1, 1, 1)))
+
 
 def avg_pool2(x: Tensor) -> Tensor:
     b, c, h, w = x.shape
@@ -210,9 +214,9 @@ class ResEncoder:
         self.head_lv = Conv(ch, out_ch, rng, scale=0.1)
 
     def __call__(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        h = self.stem(x).tanh()
+        h = self.stem.tanh(x)
         for c1, c2 in self.blocks:
-            h = (h + c2(c1(h).tanh())).tanh()
+            h = h.add_tanh(c2(c1.tanh(h)))
         return self.head_mu(h), _bounded_log_var(self.head_lv(h))
 
 
@@ -234,13 +238,13 @@ class UNet:
         self.head_lv = Conv(ch, out_ch, rng, scale=0.1)
 
     def __call__(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        f0 = self.enc0b(self.enc0a(x).tanh()).tanh()
-        f1 = self.enc1b(self.enc1a(avg_pool2(f0)).tanh()).tanh()
-        f2 = self.enc2b(self.enc2a(avg_pool2(f1)).tanh()).tanh()
+        f0 = self.enc0b.tanh(self.enc0a.tanh(x))
+        f1 = self.enc1b.tanh(self.enc1a.tanh(avg_pool2(f0)))
+        f2 = self.enc2b.tanh(self.enc2a.tanh(avg_pool2(f1)))
         h = concat([upsample2(f2), f1], axis=1)
-        h = self.dec1b(self.dec1a(h).tanh()).tanh()
+        h = self.dec1b.tanh(self.dec1a.tanh(h))
         h = concat([upsample2(h), f0], axis=1)
-        h = self.dec0b(self.dec0a(h).tanh()).tanh()
+        h = self.dec0b.tanh(self.dec0a.tanh(h))
         return self.head_mu(h), _bounded_log_var(self.head_lv(h))
 
 

@@ -174,6 +174,44 @@ def test_conv2d_keeps_no_padded_copy_of_its_input():
     assert held < 1.1 * y.data.nbytes, f"{held} bytes held for a {y.data.nbytes}-byte output"
 
 
+def test_conv2d_forward_peak_is_padded_input_output_and_two_item_buffers():
+    # Each item's taps sum in one (C_out, H*(W+2)) buffer, plus one for the
+    # product, and the crop is written into a C-contiguous output: neither a
+    # batch-sized accumulator nor a copy of the cropped view is made.
+    rng = np.random.default_rng(6)
+    b, c_in, c_out, h, wd = 4, 8, 8, 32, 32
+    x = Tensor(rng.normal(size=(b, c_in, h, wd)))
+    w = Tensor(rng.normal(size=(c_out, c_in, 3, 3)))
+    padded = b * c_in * (h + 3) * (wd + 2) * 8
+    output = b * c_out * h * wd * 8
+    item_buffers = 2 * c_out * h * (wd + 2) * 8
+    tracemalloc.start()
+    try:
+        y = conv2d(x, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.data.flags.c_contiguous
+    bound = 1.1 * (padded + output + item_buffers)
+    assert peak < bound, f"peak {peak} bytes against {bound:.0f}"
+
+
+@pytest.mark.parametrize("cin", [1, 3])
+def test_correlate_equals_a_sum_of_tap_gemms(cin):
+    # one input channel takes a broadcast product in place of the rank-1
+    # GEMM; both round once per product and once per add
+    rng = np.random.default_rng(cin)
+    x, w = rng.normal(size=(2, cin, 5, 7)), rng.normal(size=(4, cin, 3, 3))
+    taps = dc._taps(x)
+    ref = np.zeros((2, 4, 5 * 9))
+    for i in range(2):
+        for k, xk in enumerate(taps):
+            ref[i] += w[:, :, k // 3, k % 3] @ xk[i]
+    out = dc._correlate(taps, w, 7)
+    assert out.flags.c_contiguous
+    np.testing.assert_array_equal(out, ref.reshape(2, 4, 5, 9)[..., :7])
+
+
 def test_conv2d_overflow_raises_without_warning():
     # +inf from the top row of taps meets -inf from the bottom row
     w = np.zeros((1, 2, 3, 3))
@@ -183,6 +221,50 @@ def test_conv2d_overflow_raises_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(dc.NonFiniteError, match="conv2d"):
             conv2d(Tensor(np.full((1, 2, 4, 4), 1e308)), Tensor(w))
+
+
+def test_add_tanh_is_one_node_equal_to_add_then_tanh():
+    rng = np.random.default_rng(8)
+    a0, b0 = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(1, 3, 1, 1))
+    g = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+    y = a.add_tanh(b)
+    assert y._parents == (a, b)
+    backward((y * g).sum())
+    a_ref, b_ref = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+    y_ref = (a_ref + b_ref).tanh()
+    backward((y_ref * g).sum())
+    np.testing.assert_array_equal(y.data, y_ref.data)
+    np.testing.assert_array_equal(a.grad, a_ref.grad)
+    np.testing.assert_array_equal(b.grad, b_ref.grad)
+
+
+def test_add_tanh_passes_grad_check():
+    for trial in range(5):
+        rng = np.random.default_rng(200 + trial)
+        feat, m = Tensor(_draw(rng, (2, 3, 4, 5))), Tensor(_draw(rng, (3, 4)))
+        cases = [
+            # a per-channel addend, broadcast as a conv bias is
+            ("bias", lambda t: feat.add_tanh(t).square().sum(), _draw(rng, (1, 3, 1, 1))),
+            # both operands require grad
+            ("both", lambda t: t.add_tanh(t * m).square().sum(), _draw(rng, (3, 4))),
+        ]
+        for name, fn, x0 in cases:
+            err = grad_check(fn, Tensor(x0))
+            assert err < 1e-4, f"{name} trial {trial}: grad error {err}"
+
+
+def test_add_tanh_shape_error_names_both_shapes():
+    with pytest.raises(dc.ShapeError) as exc:
+        Tensor(np.zeros((2, 3))).add_tanh(Tensor(np.zeros((4,))))
+    msg = str(exc.value)
+    assert "(2, 3)" in msg and "(4,)" in msg
+
+
+def test_add_tanh_overflow_errors_instead_of_saturating():
+    # the sum is inf, whose tanh would read a finite 1.0
+    with np.errstate(over="ignore"), pytest.raises(dc.NonFiniteError, match="add_tanh"):
+        Tensor([1e308]).add_tanh(Tensor([1e308]))
 
 
 def test_matmul_shape_error_names_both_shapes():
