@@ -250,10 +250,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if not args.data:
         raise ConfigError("eval needs at least one target dataset")
-    model, _, _ = checkpoint_load(args.ckpt)
+    # One frozen view scores each dataset, loaded only while it is scored.
+    model = checkpoint_load(args.ckpt)[0].frozen()
     paths = ([args.source] if args.source else []) + list(args.data)
-    loaded = [_load_dataset(path, _geometry(model.cfg))[0] for path in paths]
-    dices = [evaluate(samples, model) for samples in loaded]
+    dices = [evaluate(_load_dataset(path, _geometry(model.cfg))[0], model)
+             for path in paths]
     rows = [[Path(path).stem, dice] for path, dice in zip(paths, dices)]
     rows.append(["avg_targets", float(np.mean(dices[-len(args.data):]))])
     for name, dice in rows:

@@ -213,10 +213,14 @@ class ResEncoder:
         self.head_mu = Conv(ch, out_ch, rng, scale=0.1)
         self.head_lv = Conv(ch, out_ch, rng, scale=0.1)
 
-    def __call__(self, x: Tensor) -> tuple[Tensor, Tensor]:
+    def trunk(self, x: Tensor) -> Tensor:
         h = self.stem.tanh(x)
         for c1, c2 in self.blocks:
             h = h.add_tanh(c2(c1.tanh(h)))
+        return h
+
+    def __call__(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        h = self.trunk(x)
         return self.head_mu(h), _bounded_log_var(self.head_lv(h))
 
 
@@ -237,14 +241,17 @@ class UNet:
         self.head_mu = Conv(ch, out_ch, rng, scale=0.1)
         self.head_lv = Conv(ch, out_ch, rng, scale=0.1)
 
-    def __call__(self, x: Tensor) -> tuple[Tensor, Tensor]:
+    def trunk(self, x: Tensor) -> Tensor:
         f0 = self.enc0b.tanh(self.enc0a.tanh(x))
         f1 = self.enc1b.tanh(self.enc1a.tanh(avg_pool2(f0)))
         f2 = self.enc2b.tanh(self.enc2a.tanh(avg_pool2(f1)))
         h = concat([upsample2(f2), f1], axis=1)
         h = self.dec1b.tanh(self.dec1a.tanh(h))
         h = concat([upsample2(h), f0], axis=1)
-        h = self.dec0b.tanh(self.dec0a.tanh(h))
+        return self.dec0b.tanh(self.dec0a.tanh(h))
+
+    def __call__(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        h = self.trunk(x)
         return self.head_mu(h), _bounded_log_var(self.head_lv(h))
 
 
@@ -280,7 +287,9 @@ class Model:
 
         A deep copy of a tensor shares its frozen value buffer, so the view
         copies no tensor.  None of its tensors requires grad, so an op on it
-        records no tape and keeps no backward closure."""
+        records no tape and keeps no backward closure.  A view is its own."""
+        if not any(p.requires_grad for p in self.params()):
+            return self
         return copy.deepcopy(self)
 
 
@@ -346,16 +355,17 @@ def posterior_mean(images, model: Model) -> Tensor:
     """Deterministic class probabilities softmax(mu_z) of the all-means path.
 
     With every latent at its mean the appearance latent and the noise model
-    do not reach the prediction, so only the shape encoder and the U-Net run.
-    They run on ``model.frozen()``, so the call records no tape: the result
-    has no parents and each intermediate is freed as soon as it is consumed.
+    do not reach the prediction, so only the shape encoder and the U-Net
+    run, up to their mean heads, on ``model.frozen()``: the call records no
+    tape, and each intermediate is freed as soon as it is consumed.  Each
+    image is computed alone, so a batch gives the bytes of its single images.
     """
     model = model.frozen()
     images = _as_images(images, model.cfg)
     with _phase("shape encoding"):
-        mu_x, _ = model.shape_enc(images)
+        mu_x = model.shape_enc.head_mu(model.shape_enc.trunk(images))
     with _phase("segmentation latent"):
-        mu_z, _ = model.seg(concat([mu_x, mu_x, mu_x], axis=1))
+        mu_z = model.seg.head_mu(model.seg.trunk(concat([mu_x] * 3, axis=1)))
     with _phase("prediction"):
         return mu_z.softmax(axis=1)
 
@@ -545,19 +555,20 @@ def predict(image, model: Model) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate(samples: list[Sample], model: Model) -> float:
-    """Mean Dice over samples, averaged over the non-background classes."""
+    """Mean Dice over samples, averaged over the non-background classes;
+    ``predict`` scores them one at a time on one frozen view of the model."""
     if not samples:
         raise ValueError("evaluate needs a nonempty dataset")
-    cfg = model.cfg
+    k = model.cfg.num_classes
+    top = max(s.mask.max(initial=0) for s in samples)
+    if top >= k:
+        raise ValueError(f"mask label {top} >= num_classes {k}")
+    view = model.frozen()
     scores = []
-    for i in range(0, len(samples), cfg.batch_size):
-        chunk = samples[i:i + cfg.batch_size]
-        images, _ = batch_tensors(chunk, cfg.num_classes)
-        labels = posterior_mean(images, model).data.argmax(axis=1)
-        for pred, s in zip(labels, chunk):
-            per_class = [dice_score(pred, s.mask, k)
-                         for k in range(1, cfg.num_classes)]
-            scores.append(float(np.mean(per_class)))
+    for s in samples:
+        labels, _ = predict(s, view)
+        scores.append(float(np.mean([dice_score(labels, s.mask, c)
+                                     for c in range(1, k)])))
     return float(np.mean(scores))
 
 

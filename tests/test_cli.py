@@ -498,6 +498,19 @@ def test_eval_names_the_corrupt_one_of_two_targets(work, tmp_path, capsys):
     assert f"error: {bad}: checksum mismatch" in capsys.readouterr().err
 
 
+def test_eval_writes_nothing_when_a_later_target_fails(work, tmp_path, capsys):
+    # Each file is loaded only when its turn comes, so the good one is scored
+    # before the bad one is read; neither a row nor the CSV may come out.
+    bad = tmp_path / "truncated.dbfd"
+    bad.write_bytes(work["d"].read_bytes()[:-9])
+    out = tmp_path / "e.csv"
+    code = cli.main(["eval", "--ckpt", str(work["ckpt"]), "--out", str(out),
+                     "--source", str(work["a"]), str(work["c"]), str(bad)])
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_eval_rejects_a_ver1_checkpoint_with_appearance_sections(
         work, tmp_path, capsys):
     # ver1 and ver3 checkpoints written while every variant built the

@@ -1,11 +1,13 @@
 """Pipeline tests: forward contract, toggles, training dynamics, checkpoints."""
 
+import copy
 import re
 import struct
 import tracemalloc
 import zlib
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -577,8 +579,8 @@ def test_evaluate_bounds_and_empty():
 
 
 def test_evaluate_equals_mean_of_predict_dice():
-    # 5 samples in batches of 4: the score must not depend on how the set
-    # is cut into batches.
+    # The score is the mean of the per-image Dice that predict gives, to the
+    # last bit, whatever the training batch size.
     cfg = _tiny_cfg(num_classes=3, batch_size=4)
     model = pl.Model(cfg)
     samples = _toy_samples(5, 16, 16, k=3, seed=4)
@@ -589,6 +591,25 @@ def test_evaluate_equals_mean_of_predict_dice():
                                   for k in (1, 2)]))
     assert 0.0 < np.mean(per_image) < 1.0
     assert pl.evaluate(samples, model) == float(np.mean(per_image))
+
+
+def test_evaluate_rejects_a_mask_label_beyond_the_classes():
+    samples = _toy_samples(3, 16, 16)
+    samples[2].mask[0, 0] = 2
+    with pytest.raises(ValueError, match="mask label 2 >= num_classes 2"):
+        pl.evaluate(samples, pl.Model(_tiny_cfg()))
+
+
+def test_posterior_mean_of_a_batch_equals_its_images_one_at_a_time():
+    # evaluate streams one image at a time, so it relies on this.
+    cfg = _tiny_cfg(num_classes=3, image_size=(16, 24))
+    model = pl.Model(cfg)
+    images = np.stack([s.image for s in _toy_samples(5, 16, 24, k=3)])[:, None]
+    batch = pl.posterior_mean(images, model).data
+    single = np.concatenate([pl.posterior_mean(images[i:i + 1], model).data
+                             for i in range(5)])
+    assert batch.shape == (5, 3, 16, 24)
+    assert batch.tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("version", ["ver1", "ver5"])
@@ -603,10 +624,18 @@ def test_evaluation_runs_no_training_only_code(version, monkeypatch):
         # survives the copy that Model.frozen makes.
         __call__ = forbidden
 
+    class ForbiddenConv(pl.Conv):
+        __call__ = tanh = forbidden
+
+    # Nothing at inference reads a log-variance head.
+    heads = [model.shape_enc.head_lv, model.seg.head_lv]
     if version == "ver1":
         assert model.appearance is None
     else:
+        heads.append(model.appearance.head_lv)
         monkeypatch.setattr(model.appearance, "__class__", ForbiddenEncoder)
+    for head in heads:
+        monkeypatch.setattr(head, "__class__", ForbiddenConv)
     for name in ("refresh_state", "kl_terms", "grad_sqnorm",
                  "gaussian_kl_closed"):
         monkeypatch.setattr(pl, name, forbidden)
@@ -653,6 +682,26 @@ def test_frozen_view_shares_every_buffer():
         assert not q.data.flags.writeable and not q.requires_grad
 
 
+def test_a_frozen_view_is_its_own_view():
+    view = pl.Model(_tiny_cfg()).frozen()
+    assert view.frozen() is view
+
+
+def test_evaluate_copies_the_model_at_most_once(monkeypatch):
+    copies = []
+
+    def deepcopy(obj):
+        copies.append(type(obj))
+        return copy.deepcopy(obj)
+
+    monkeypatch.setattr(pl, "copy", SimpleNamespace(deepcopy=deepcopy))
+    model = pl.Model(_tiny_cfg(batch_size=2))
+    pl.evaluate(_toy_samples(5, 16, 16), model)
+    assert copies == [pl.Model]
+    pl.evaluate(_toy_samples(5, 16, 16), model.frozen())
+    assert copies == [pl.Model] * 2
+
+
 class _GradRecorder(pl.Adam):
     """Adam that keeps a copy of every gradient it steps with."""
 
@@ -696,6 +745,26 @@ def test_posterior_mean_peak_memory_guard():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_evaluate_peak_memory_is_about_one_image():
+    # Scoring 16 images one at a time on one frozen view peaks at about one
+    # image's activations: 3.08 against 2.95 MiB of traced allocations.  A
+    # chunk of batch_size (8) images at once peaks at 20.8 MiB.
+    model = pl.Model(pl.ModelConfig())
+    samples = _toy_samples(16, 64, 64)
+    peaks = []
+    for run in (lambda: pl.posterior_mean(samples[0].image[None, None], model),
+                lambda: pl.evaluate(samples, model)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    single, streamed = peaks
+    assert streamed < 1.25 * single, (
+        f"evaluate {streamed / 2**20:.2f} MiB, one image {single / 2**20:.2f} MiB")
 
 
 def test_tape_size_does_not_grow_with_sde_steps(monkeypatch):
