@@ -11,8 +11,9 @@ disjoint graphs may be walked in different threads, and one thread walks a
 given graph at a time.  Tensor value buffers are frozen after creation;
 updates replace the buffer rather than mutating it, so a recorded graph can
 always be replayed.  An operation whose parents all need no grad records
-nothing, so a computation on detached tensors keeps no tape.  ``add_tanh``
-is tanh(a + b) as one node, which keeps the tanh but never the sum.
+nothing, so a computation on detached tensors keeps no tape.  ``bias_act``
+is [tanh](skip + c + b) as one node in the place of c, a conv or matmul
+output, so the tape keeps neither c nor the sums.
 """
 
 from __future__ import annotations
@@ -216,24 +217,6 @@ class Tensor:
 
         return Tensor._from_op(res, (self,), backward)
 
-    def add_tanh(self, other: "Tensor") -> "Tensor":
-        """tanh(self + other) as one node: the sum is never kept."""
-        a, b = self.data, other.data
-        try:
-            res = np.add(a, b)
-        except ValueError as exc:
-            raise ShapeError(f"add_tanh: shapes {a.shape} and {b.shape} do not conform") from exc
-        np.tanh(_finite_or_raise(res, "add_tanh"), out=res)
-
-        def backward(g: np.ndarray) -> None:
-            gs = g * (1.0 - res * res)
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(gs, self.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(gs, other.shape))
-
-        return Tensor._from_op(res, (self, other), backward)
-
     def square(self) -> "Tensor":
         res = _finite_or_raise(self.data * self.data, "square")
 
@@ -268,29 +251,18 @@ class Tensor:
         res = np.asarray(self.data.sum(axis=axis, keepdims=keepdims))
         _finite_or_raise(res, "sum")
         shape = self.data.shape
-        # storage promotes 0-d results to (1,), so the incoming gradient is
-        # reshaped back to the true reduced shape before re-expansion
-        reduced_shape = res.shape
+        # the gradient (a 0-d result is stored as (1,)) takes back the summed
+        # axes at length 1, then expands over them
+        axes = np.arange(len(shape)) if axis is None else np.atleast_1d(axis) % len(shape)
+        kept = tuple(1 if i in axes else n for i, n in enumerate(shape))
 
         def backward(g: np.ndarray) -> None:
-            if axis is None:
-                _accumulate(self, np.broadcast_to(g, shape).copy())
-                return
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            axes = tuple(a % len(shape) for a in axes)
-            gg = np.asarray(g).reshape(reduced_shape)
-            if not keepdims:
-                gg = np.expand_dims(gg, axes)
-            _accumulate(self, np.broadcast_to(gg, shape).copy())
+            _accumulate(self, np.broadcast_to(g.reshape(kept), shape).copy())
 
         return Tensor._from_op(res, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([self.data.shape[a % self.data.ndim] for a in axes]))
+        count = self.data.size if axis is None else int(np.prod(np.take(self.shape, axis)))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis: int) -> "Tensor":
@@ -298,14 +270,12 @@ class Tensor:
         res = np.asarray(self.data.max(axis=axis_n))
         idx = self.data.argmax(axis=axis_n)
         shape = self.data.shape
-        reduced_shape = res.shape
 
         def backward(g: np.ndarray) -> None:
             # gradient routes to the first maximal element along the axis
             full = np.zeros(shape)
-            gg = np.asarray(g).reshape(reduced_shape)
             np.put_along_axis(full, np.expand_dims(idx, axis_n),
-                              np.expand_dims(gg, axis_n), axis=axis_n)
+                              np.expand_dims(g.reshape(idx.shape), axis_n), axis=axis_n)
             _accumulate(self, full)
 
         return Tensor._from_op(res, (self,), backward)
@@ -467,6 +437,35 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
             _accumulate(x, _correlate(g_taps, w_flip, xa.shape[3]))
 
     return Tensor._from_op(res, (x, w), backward)
+
+
+def bias_act(c: Tensor, b: Tensor, *, tanh: bool = False,
+             skip: Tensor | None = None) -> Tensor:
+    """[tanh](skip + (c + b)), b broadcast over axis 1, as one node that takes
+    c's place: it gets c's parents and runs c's closure, so no node keeps c."""
+    if (b.ndim != 1 or c.ndim < 2 or c.shape[1] != b.shape[0]
+            or skip is not None and skip.shape != c.shape):
+        raise ShapeError(f"bias_act: shapes {c.shape}, {b.shape} and skip "
+                         f"{None if skip is None else skip.shape} do not conform")
+    res = np.add(c.data, b.data.reshape((1, -1) + (1,) * (c.ndim - 2)))
+    if skip is not None:
+        np.add(skip.data, res, out=res)
+    _finite_or_raise(res, "bias_act")
+    if tanh:
+        np.tanh(res, out=res)
+    inner, c_backward = c._parents, c._backward
+    if c_backward is None:  # a leaf stays a parent
+        inner, c_backward = (c,), lambda g: c.requires_grad and _accumulate(c, g)
+
+    def backward(g: np.ndarray) -> None:
+        gs = g * (1.0 - res * res) if tanh else g
+        if skip is not None and skip.requires_grad:
+            _accumulate(skip, gs)
+        if b.requires_grad:
+            _accumulate(b, gs.sum(axis=(0,) + tuple(range(2, gs.ndim))))
+        c_backward(gs)
+
+    return Tensor._from_op(res, (skip,) * (skip is not None) + inner + (b,), backward)
 
 
 def trace(root: Tensor) -> list[Tensor]:

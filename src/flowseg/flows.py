@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import Tensor, concat
+from .diffcore import Tensor, bias_act, concat
 
 LOG_SCALE_BOUND = 7.0
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -68,8 +68,8 @@ class MafLayer:
         self.b2 = Tensor(np.zeros(2 * dim), requires_grad=True)
 
     def _conditioner(self, u: Tensor) -> tuple[Tensor, Tensor]:
-        h = u.matmul(self.w1 * self._mask1).add_tanh(self.b1)
-        sa = h.matmul(self.w2 * self._mask2) + self.b2
+        h = bias_act(u.matmul(self.w1 * self._mask1), self.b1, tanh=True)
+        sa = bias_act(h.matmul(self.w2 * self._mask2), self.b2)
         shift = sa.slice(1, 0, self.dim)
         log_scale = _bounded_log_scale(sa.slice(1, self.dim, 2 * self.dim))
         return shift, log_scale

@@ -22,8 +22,8 @@ import numpy as np
 from .container import (CHECKPOINT_MAGIC, FormatError, Reader, Writer,
                         atomic_write, unseal)
 from .data import Sample, dice_score
-from .diffcore import (NonFiniteError, ShapeError, Tensor, backward, concat,
-                       conv2d, zero_grad)
+from .diffcore import (NonFiniteError, ShapeError, Tensor, backward, bias_act,
+                       concat, conv2d, zero_grad)
 from .flows import FlowStack, flow_push
 from .ncvi import (Hyperpriors, gaussian_kl_closed, kl_terms, mc_kl,
                    refresh_state)
@@ -183,11 +183,11 @@ class Conv:
         self.b = Tensor(np.zeros(out_ch), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.w) + self.b.reshape((1, -1, 1, 1))
+        return bias_act(conv2d(x, self.w), self.b)
 
     def tanh(self, x: Tensor) -> Tensor:
-        """tanh(self(x)) with the bias add and tanh as one tape node."""
-        return conv2d(x, self.w).add_tanh(self.b.reshape((1, -1, 1, 1)))
+        """tanh(self(x)) as one tape node, which keeps neither the conv nor the sum."""
+        return bias_act(conv2d(x, self.w), self.b, tanh=True)
 
 
 def avg_pool2(x: Tensor) -> Tensor:
@@ -216,7 +216,7 @@ class ResEncoder:
     def trunk(self, x: Tensor) -> Tensor:
         h = self.stem.tanh(x)
         for c1, c2 in self.blocks:
-            h = h.add_tanh(c2(c1.tanh(h)))
+            h = bias_act(conv2d(c1.tanh(h), c2.w), c2.b, tanh=True, skip=h)
         return h
 
     def __call__(self, x: Tensor) -> tuple[Tensor, Tensor]:

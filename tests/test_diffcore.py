@@ -223,48 +223,79 @@ def test_conv2d_overflow_raises_without_warning():
             conv2d(Tensor(np.full((1, 2, 4, 4), 1e308)), Tensor(w))
 
 
-def test_add_tanh_is_one_node_equal_to_add_then_tanh():
+def _unfused(c, b, *, tanh, skip):
+    """The composition bias_act replaces: an add per operand, then tanh."""
+    out = c + b.reshape((1, -1) + (1,) * (c.ndim - 2))
+    out = out if skip is None else skip + out
+    return out.tanh() if tanh else out
+
+
+@pytest.mark.parametrize("form", ["conv-skip-tanh", "conv-bias", "matmul-tanh"])
+def test_bias_act_is_one_node_bitwise_equal_to_the_unfused_composition(form):
     rng = np.random.default_rng(8)
-    a0, b0 = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(1, 3, 1, 1))
-    g = Tensor(rng.normal(size=(2, 3, 4, 5)))
-    a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
-    y = a.add_tanh(b)
-    assert y._parents == (a, b)
-    backward((y * g).sum())
-    a_ref, b_ref = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
-    y_ref = (a_ref + b_ref).tanh()
-    backward((y_ref * g).sum())
-    np.testing.assert_array_equal(y.data, y_ref.data)
-    np.testing.assert_array_equal(a.grad, a_ref.grad)
-    np.testing.assert_array_equal(b.grad, b_ref.grad)
+    if form.startswith("conv"):
+        op, shapes = conv2d, [(2, 3, 4, 5), (4, 3, 3, 3), (4,), (2, 4, 4, 5)]
+    else:
+        op, shapes = Tensor.matmul, [(5, 3), (3, 4), (4,), (5, 4)]
+    x0, k0, b0, s0 = (rng.normal(size=shape) for shape in shapes)
+    tanh, with_skip = "tanh" in form, "skip" in form
+    g = Tensor(rng.normal(size=shapes[-1]))
+    runs = []
+    for fused in (True, False):
+        x, k, b, s = (Tensor(v, requires_grad=True) for v in (x0, k0, b0, s0))
+        skip = s if with_skip else None
+        y = (dc.bias_act if fused else _unfused)(op(x, k), b, tanh=tanh, skip=skip)
+        if fused:
+            # the op output is absorbed: one node on the op's own operands
+            assert y._parents == (skip,) * with_skip + (x, k, b)
+            assert [n for n in trace(y) if n._backward is not None] == [y]
+        backward((y * g).sum())
+        runs.append([y.data, x.grad, k.grad, b.grad] + [s.grad] * with_skip)
+    for got, ref in zip(*runs):
+        np.testing.assert_array_equal(got, ref)
 
 
-def test_add_tanh_passes_grad_check():
+def test_bias_act_passes_grad_check():
     for trial in range(5):
         rng = np.random.default_rng(200 + trial)
-        feat, m = Tensor(_draw(rng, (2, 3, 4, 5))), Tensor(_draw(rng, (3, 4)))
+        feat, k = Tensor(_draw(rng, (1, 2, 3, 4))), Tensor(_draw(rng, (2, 2, 3, 3)))
+        bias, m, bias4 = (Tensor(_draw(rng, shape)) for shape in ((2,), (4, 4), (4,)))
         cases = [
-            # a per-channel addend, broadcast as a conv bias is
-            ("bias", lambda t: feat.add_tanh(t).square().sum(), _draw(rng, (1, 3, 1, 1))),
-            # both operands require grad
-            ("both", lambda t: t.add_tanh(t * m).square().sum(), _draw(rng, (3, 4))),
+            # the residual form: one input is both the conv input and the skip
+            ("4-D skip tanh", lambda t: dc.bias_act(conv2d(t, k), bias, tanh=True, skip=t)
+             .square().sum(), _draw(rng, (1, 2, 3, 4))),
+            ("4-D skip tanh, bias", lambda t: dc.bias_act(conv2d(feat, k), t, tanh=True, skip=feat)
+             .square().sum(), _draw(rng, (2,))),
+            ("4-D bias only", lambda t: dc.bias_act(conv2d(feat, k), t).square().sum(),
+             _draw(rng, (2,))),
+            # 2-D: the matmul input is the skip too, and a leaf c is kept as a parent
+            ("2-D tanh", lambda t: dc.bias_act(t.matmul(m), bias4, tanh=True, skip=t)
+             .square().sum(), _draw(rng, (3, 4))),
+            ("2-D tanh, leaf", lambda t: dc.bias_act(t, t.sum(axis=0), tanh=True).square().sum(),
+             _draw(rng, (3, 4))),
         ]
         for name, fn, x0 in cases:
             err = grad_check(fn, Tensor(x0))
             assert err < 1e-4, f"{name} trial {trial}: grad error {err}"
 
 
-def test_add_tanh_shape_error_names_both_shapes():
+def test_bias_act_shape_error_names_both_shapes():
     with pytest.raises(dc.ShapeError) as exc:
-        Tensor(np.zeros((2, 3))).add_tanh(Tensor(np.zeros((4,))))
+        dc.bias_act(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
     msg = str(exc.value)
     assert "(2, 3)" in msg and "(4,)" in msg
+    with pytest.raises(dc.ShapeError) as exc:
+        dc.bias_act(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3,))),
+                    skip=Tensor(np.zeros((3, 2))))
+    msg = str(exc.value)
+    assert "(2, 3)" in msg and "(3, 2)" in msg
 
 
-def test_add_tanh_overflow_errors_instead_of_saturating():
+def test_bias_act_overflow_errors_instead_of_saturating():
     # the sum is inf, whose tanh would read a finite 1.0
-    with np.errstate(over="ignore"), pytest.raises(dc.NonFiniteError, match="add_tanh"):
-        Tensor([1e308]).add_tanh(Tensor([1e308]))
+    for skip in (None, Tensor([[1.0]])):
+        with np.errstate(over="ignore"), pytest.raises(dc.NonFiniteError, match="bias_act"):
+            dc.bias_act(Tensor([[1e308]]), Tensor([1e308]), tanh=True, skip=skip)
 
 
 def test_matmul_shape_error_names_both_shapes():

@@ -138,26 +138,53 @@ def test_bounded_log_var_range():
     assert out[0] < -9.99 and out[4] > 9.99
 
 
-def test_conv_tanh_is_three_nodes_and_bitwise_equal_to_conv_then_tanh():
+def test_conv_tanh_is_one_node_and_bitwise_equal_to_conv_then_tanh():
     rng = np.random.default_rng(3)
     conv = pl.Conv(3, 4, rng)
     conv.b.assign(rng.normal(size=4))
     x0, g = rng.normal(size=(2, 3, 5, 6)), rng.normal(size=(2, 4, 5, 6))
     x = dc.Tensor(x0, requires_grad=True)
     y = conv.tanh(x)
-    # add_tanh over conv2d(x, w) and the bias reshape, and nothing else
-    ops = [n for n in dc.trace(y) if n._backward is not None]
-    assert len(ops) == 3
-    conv_out, bias = y._parents
-    assert conv_out._parents == (x, conv.w) and bias._parents == (conv.b,)
+    # one node on the conv's operands and the bias: no conv output, sum or reshape
+    assert [n for n in dc.trace(y) if n._backward is not None] == [y]
+    assert y._parents == (x, conv.w, conv.b)
     dc.backward((y * dc.Tensor(g)).sum())
     grads = [x.grad, conv.w.grad, conv.b.grad]
     dc.zero_grad([conv.w, conv.b])
     x_ref = dc.Tensor(x0, requires_grad=True)
-    y_ref = conv(x_ref).tanh()
+    y_ref = (dc.conv2d(x_ref, conv.w) + conv.b.reshape((1, -1, 1, 1))).tanh()
     dc.backward((y_ref * dc.Tensor(g)).sum())
     np.testing.assert_array_equal(y.data, y_ref.data)
     for got, ref in zip(grads, [x_ref.grad, conv.w.grad, conv.b.grad]):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_residual_block_is_one_node_on_its_skip_and_conv_operands():
+    rng = np.random.default_rng(4)
+    enc = pl.ResEncoder(2, 3, 1, rng)
+    params = [p for name, p in pl._named_tensors(enc, "") if not name.startswith("head")]
+    for p in params[1::2]:  # the biases, zero at init
+        p.assign(rng.normal(size=p.shape))
+    x0 = rng.normal(size=(2, 2, 5, 6))
+    x = dc.Tensor(x0, requires_grad=True)
+    y = enc.trunk(x)
+    (c1, c2) = enc.blocks[-1]
+    skip, x1, w, b = y._parents
+    assert (w, b) == (c2.w, c2.b) and x1._parents == (skip, c1.w, c1.b)
+    g = dc.Tensor(rng.normal(size=y.shape))
+    dc.backward((y * g).sum())
+    grads = [x.grad] + [p.grad for p in params]
+    dc.zero_grad(params)
+
+    def conv(c, h):
+        return dc.conv2d(h, c.w) + c.b.reshape((1, -1, 1, 1))
+    x_ref = dc.Tensor(x0, requires_grad=True)
+    h = conv(enc.stem, x_ref).tanh()
+    for c1, c2 in enc.blocks:
+        h = (h + conv(c2, conv(c1, h).tanh())).tanh()
+    dc.backward((h * g).sum())
+    np.testing.assert_array_equal(y.data, h.data)
+    for got, ref in zip(grads, [x_ref.grad] + [p.grad for p in params]):
         np.testing.assert_array_equal(got, ref)
 
 
@@ -784,11 +811,30 @@ def test_tape_size_does_not_grow_with_sde_steps(monkeypatch):
     assert op_nodes[0] == op_nodes[1], op_nodes
 
 
+def test_no_conv_output_stays_on_a_training_tape(monkeypatch):
+    # bias_act absorbs each conv node, so the tape never names a conv output
+    # and each is freed once its block returns
+    outputs, roots = [], []
+    real_conv2d, real_backward = pl.conv2d, pl.backward
+    monkeypatch.setattr(pl, "conv2d",
+                        lambda x, w: outputs.append(real_conv2d(x, w)) or outputs[-1])
+    monkeypatch.setattr(pl, "backward",
+                        lambda loss: roots.append(loss) or real_backward(loss))
+    model = pl.Model(pl.config_for_version(_tiny_cfg(batch_size=2), "ver5"))
+    pl.train_step(_toy_samples(2, 16, 16), model, pl.Adam(model.named_params(), 0.1),
+                  np.random.default_rng(0))
+    # two encoders of seven convs and a U-Net of twelve
+    assert len(outputs) == 26
+    on_tape = {id(n) for n in dc.trace(roots[0])}
+    assert [i for i, c in enumerate(outputs) if id(c) in on_tape] == []
+
+
 def test_train_step_peak_memory_guard():
     # One ver5 step at B=8, 64x64 and the default config peaked at 303 MiB of
     # traced allocations while each OU step kept five nodes and each conv
     # closure a padded input, at 214 MiB while each bias add before a tanh
-    # kept its sum, and at 173 MiB without.
+    # kept its sum, at 173 MiB while each conv output stayed on the tape for
+    # its bias add to name, and at 121.5 MiB without.
     cfg = pl.ModelConfig()
     samples = _toy_samples(8, 64, 64)
     model = pl.Model(cfg)
@@ -799,7 +845,7 @@ def test_train_step_peak_memory_guard():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 190 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 135 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- checkpoints -------------------------------------------------------------------------

@@ -38,8 +38,8 @@ def test_instrument_wraps_every_name_and_restores_it():
     assert cli.fit is fit
 
 
-LAYER_SPANS = ("diffcore.conv2d", "diffcore.backward", "sde.sample_field",
-               "flows.flow_push", "ncvi.mc_kl", "ncvi.refresh_state",
+LAYER_SPANS = ("diffcore.conv2d", "diffcore.conv2d.bwd", "diffcore.backward",
+               "sde.sample_field", "flows.flow_push", "ncvi.mc_kl", "ncvi.refresh_state",
                "ncvi.kl_terms", "spatial.grad_sqnorm", "spatial.gumbel_softmax",
                "spatial.dice_ce_loss_per_item", "pipeline.Adam.step",
                "pipeline.train_step", "pipeline.evaluate")
