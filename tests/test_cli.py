@@ -1,6 +1,8 @@
 """CLI tests: every subcommand, config handling, exit codes, artifacts."""
 
+import contextlib
 import csv
+import io
 import os
 import struct
 import subprocess
@@ -207,6 +209,35 @@ def test_every_config_key_round_trips_through_echo(tmp_path):
         assert back == cfg
         assert {k: type(v) for k, v in back.items()} == \
             {k: type(v) for k, v in cfg.items()}
+
+
+@pytest.mark.parametrize("kind", ["csv", "config.echo"])
+def test_failed_replace_keeps_old_text_file(tmp_path, monkeypatch, kind):
+    # The os.replace failure of test_container's binary-file test: a rewrite
+    # that dies leaves the old rows (or echo) in place and no temporary file.
+    path = tmp_path / f"out.{kind}"
+
+    def save(epochs):
+        if kind == "csv":
+            cli._write_csv(path, ["epoch", "dice_val"],
+                           [[e, 0.5] for e in range(epochs)])
+        else:
+            cli.write_config_echo({**cli.default_config(), "epochs": epochs},
+                                  path)
+    save(1)
+    before = path.read_bytes()
+
+    def broken_replace(src, dst):
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(os, "replace", broken_replace)
+    with pytest.raises(OSError, match="disk went away"):
+        save(2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    monkeypatch.undo()
+    save(2)
+    assert path.read_bytes() != before
 
 
 def test_every_model_key_round_trips_through_checkpoint(tmp_path):
@@ -435,7 +466,8 @@ def test_train_val_geometry_mismatch(work, tmp_path, capsys):
 
 
 def _read_csv(path):
-    return list(csv.reader(path.open()))
+    with path.open() as f:
+        return list(csv.reader(f))
 
 
 def test_eval_with_source_and_targets(work, tmp_path, capsys):
@@ -546,11 +578,46 @@ def test_eval_rejects_options_it_never_reads(work, tmp_path, flags):
 # -- ablate ------------------------------------------------------------------------
 
 
-def test_ablate_table_shape(work, tmp_path, capsys):
-    out = tmp_path / "ab"
-    code = cli.main(["ablate", "--data", str(work["a"]),
-                     "--targets", str(work["c"]), "--out", str(out)] + FAST)
-    assert code == 0
+def _ablate_recording(argv, change_child=None):
+    """Run ``ablate`` in this process with every child it starts recorded;
+    ``change_child`` may rewrite a child's argv.  Returns (exit code,
+    stdout, the children's Popen objects)."""
+    started = []
+    real_popen = subprocess.Popen
+
+    def popen(args, **kwargs):
+        started.append(real_popen(change_child(args) if change_child else args,
+                                  **kwargs))
+        return started[-1]
+
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf):
+        mp.setattr(cli.subprocess, "Popen", popen)
+        code = cli.main(["ablate"] + argv)
+    return code, buf.getvalue(), started
+
+
+def _assert_all_exited(started):
+    assert started
+    for proc in started:
+        assert proc.returncode is not None
+        with pytest.raises(ProcessLookupError):  # reaped, not a zombie
+            os.kill(proc.pid, 0)
+
+
+@pytest.fixture(scope="module")
+def ablated(work, tmp_path_factory):
+    """One ablate run at the FAST config, shared by the read-only tests."""
+    out = tmp_path_factory.mktemp("ablate") / "ab"
+    code, stdout, started = _ablate_recording(
+        ["--data", str(work["a"]), "--targets", str(work["c"]),
+         "--out", str(out)] + FAST)
+    return {"code": code, "out": out, "stdout": stdout, "started": started}
+
+
+def test_ablate_table_shape(ablated):
+    assert ablated["code"] == 0
+    out = ablated["out"]
     rows = _read_csv(out / "ablate.csv")
     assert rows[0] == ["version", "nf_posterior", "ncvi", "sde_girsanov",
                        "doma", "domc", "avg_targets"]
@@ -561,10 +628,53 @@ def test_ablate_table_shape(work, tmp_path, capsys):
     for r in rows[1:]:
         assert abs(float(r[6]) - float(r[5])) < 1e-9  # single target
         assert 0.0 <= float(r[4]) <= 1.0
-    stdout = capsys.readouterr().out
+    stdout = ablated["stdout"]
     assert stdout.count("✓") == 9 and stdout.count("×") == 6
+    assert [line.split()[0] for line in stdout.splitlines()[:5]] == \
+        [r[0] for r in rows[1:]]
     assert "not gated" in stdout
     assert (out / "config.echo").exists()
+    for version in pl.VERSION_TOGGLES:
+        assert (out / f"{version}.log").exists()
+        assert (out / version / "ckpt-best.dbfc").exists()
+
+
+def test_ablate_leaves_no_child_running(ablated):
+    assert ablated["code"] == 0
+    assert len(ablated["started"]) == len(pl.VERSION_TOGGLES)
+    _assert_all_exited(ablated["started"])
+
+
+def test_ablate_stops_at_a_failed_child_with_its_code(work, tmp_path, capsys):
+    # ver5 starts first; a batch size of 0 makes its train exit 2 while
+    # another fit may still be running.
+    def break_ver5(argv):
+        return argv + ["--set", "batch_size=0"] if "run=ver5" in argv else argv
+
+    out = tmp_path / "ab"
+    code, _, started = _ablate_recording(
+        ["--data", str(work["a"]), "--targets", str(work["c"]),
+         "--out", str(out)] + FAST, break_ver5)
+    assert code == 2
+    assert f"ablate ver5 exited 2; see {out / 'ver5.log'}" in \
+        capsys.readouterr().err
+    assert "batch_size" in (out / "ver5.log").read_text()
+    assert not (out / "ablate.csv").exists()
+    _assert_all_exited(started)
+
+
+def test_ablate_runs_from_another_directory_with_a_relative_pythonpath(
+        work, ablated, tmp_path, monkeypatch):
+    # The children import flowseg through the package's absolute directory,
+    # which goes before the relative entry that no longer resolves.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONPATH", "src")
+    code = cli.main(["ablate", "--data", os.path.relpath(work["a"]),
+                     "--targets", os.path.relpath(work["c"]),
+                     "--out", "ab"] + FAST)
+    assert code == 0
+    assert (tmp_path / "ab" / "ablate.csv").read_bytes() == \
+        (ablated["out"] / "ablate.csv").read_bytes()
 
 
 def test_ablate_requires_targets(work, tmp_path):
@@ -854,6 +964,77 @@ def test_corrupt_section_shape_is_format_error(work, tmp_path, capsys):
     assert "'epoch'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, message", [
+    # numpy: "maximum supported dimension for an ndarray is currently 64"
+    (b"\x41" + struct.pack("<65I", *[0] * 65), "65 dimensions, at most 4"),
+    # numpy: "can only convert an array of size 1 to a Python scalar"
+    (b"\x02" + struct.pack("<2I", 3, 0), "shape (3, 0) has a zero dimension"),
+    # numpy: "array is too big; `arr.size * arr.dtype.itemsize` is larger ..."
+    (b"\x03" + struct.pack("<3I", 0, 2**32 - 1, 2**32 - 1),
+     "shape (0, 4294967295, 4294967295) has a zero dimension"),
+], ids=["ndim_65", "zero_dimension", "oversized"])
+def test_section_header_numpy_rejects_is_format_error(work, tmp_path, capsys,
+                                                      header, message):
+    # Reseal the checkpoint with its last section, epoch, replaced by a
+    # header that claims no data: each one once reached numpy and exited 2.
+    raw = work["ckpt"].read_bytes()[:-4]
+    epoch = b"\x05\x00epoch\x01" + struct.pack("<Id", 1, 1.0)
+    assert raw.endswith(epoch)
+    bad = _sealed(raw[:-len(epoch)] + b"\x05\x00epoch" + header,
+                  tmp_path / "bad_header.dbfc")
+    assert cli.main(["inspect", str(bad)]) == 3
+    assert f"error: {bad}: section 'epoch': {message}" in capsys.readouterr().err
+
+
+def _section_headers(raw: bytes) -> list[range]:
+    """The byte offsets of each section's name, ndim and shape fields in a
+    checkpoint's bytes."""
+    at = 6                                   # magic and version
+    at += 2 + struct.unpack_from("<H", raw, at)[0]   # config block
+    (count,) = struct.unpack_from("<I", raw, at)
+    at += 4
+    out = []
+    for _ in range(count):
+        start = at
+        at += 2 + struct.unpack_from("<H", raw, at)[0]
+        ndim = raw[at]
+        shape = struct.unpack_from(f"<{ndim}I", raw, at + 1)
+        at += 1 + 4 * ndim
+        out.append(range(start, at))
+        at += 8 * int(np.prod(shape))
+    return out
+
+
+def test_section_header_byte_changes_exit_0_or_3(work, tmp_path, capsys):
+    # A fixed-seed sample of single-byte changes to the section names, ndims
+    # and shapes of a resealed checkpoint: each one loads or exits 3 naming
+    # the file, never 2 and never with a traceback.  A third of the changes
+    # set an ndim byte to 5..255; the rest set any header byte to 0, 255, or
+    # one above or below its value.
+    raw = work["ckpt"].read_bytes()[:-4]
+    headers = _section_headers(raw)
+    offsets = [i for r in headers for i in r]
+    # Each header is a u16 name length, the name, the ndim byte, the shape.
+    ndims = [r.start + 2 + struct.unpack_from("<H", raw, r.start)[0]
+             for r in headers]
+    rng = np.random.default_rng(21)
+    changes = [(at, rng.integers(5, 256)) for at in rng.choice(ndims, 100)]
+    for at in rng.choice(offsets, 200):
+        b = int(raw[at])
+        changes.append((at, rng.choice([0, 255, (b + 1) % 256, (b - 1) % 256])))
+    bad = tmp_path / "changed.dbfc"
+    codes = []
+    for at, value in changes:
+        body = bytearray(raw)
+        body[at] = value
+        _sealed(bytes(body), bad)
+        codes.append(cli.main(["inspect", str(bad)]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 3), (at, value, err)
+        assert codes[-1] == 0 or err.startswith(f"error: {bad}: "), err
+    assert codes.count(3) > 250
+
+
 def test_checkpoint_with_reversal_numbered_layers_exits_3(tmp_path, capsys):
     # A layout that counted a parameter-free reversal between MAF layers
     # named the second one flow.layers.2; this build reads it as
@@ -895,27 +1076,25 @@ def test_usage_errors_exit_2():
     assert cli.main(["train"]) == 2  # missing required --data
 
 
-def test_ver1_row_matches_standalone_run(work, tmp_path):
-    # The ablation's ver1 line must be reproducible by a plain train + eval
-    # with the same seed and toggles.
-    out = tmp_path / "out"
-    toggles = ["--set", "nf_posterior=false", "--set", "ncvi=false",
-               "--set", "sde_girsanov=false"]
-    code = cli.main(["train", "--data", str(work["a"]), "--out", str(out),
-                     "--set", "run=v1"] + FAST + toggles)
-    assert code == 0
-    ecsv = tmp_path / "v1.csv"
-    code = cli.main(["eval", "--ckpt", str(out / "v1" / "ckpt-best.dbfc"),
-                     "--source", str(work["a"]), "--out", str(ecsv),
-                     str(work["c"])])
-    assert code == 0
-    eval_rows = {r[0]: r[1] for r in _read_csv(ecsv)[1:]}
-
-    ab = tmp_path / "ab"
-    code = cli.main(["ablate", "--data", str(work["a"]),
-                     "--targets", str(work["c"]), "--out", str(ab)] + FAST)
-    assert code == 0
-    ver1 = _read_csv(ab / "ablate.csv")[1]
-    assert ver1[0] == "ver1"
-    assert float(ver1[4]) == pytest.approx(float(eval_rows["doma"]), abs=1e-9)
-    assert float(ver1[5]) == pytest.approx(float(eval_rows["domc"]), abs=1e-9)
+def test_every_ablate_row_matches_standalone_train_and_eval(work, ablated,
+                                                          tmp_path):
+    # Each ablation line must be reproducible by a plain train + eval with
+    # the same seed and toggles.
+    keys = ("nf_posterior", "ncvi", "sde_girsanov")
+    rows = _read_csv(ablated["out"] / "ablate.csv")[1:]
+    for row in rows:
+        version = row[0]
+        toggles = [a for key, on in zip(keys, row[1:4])
+                   for a in ("--set", f"{key}={on}")]
+        out = tmp_path / "out"
+        code = cli.main(["train", "--data", str(work["a"]), "--out", str(out),
+                         "--set", f"run={version}"] + FAST + toggles)
+        assert code == 0
+        ecsv = tmp_path / f"{version}.csv"
+        code = cli.main(["eval", "--ckpt", str(out / version / "ckpt-best.dbfc"),
+                         "--source", str(work["a"]), "--out", str(ecsv),
+                         str(work["c"])])
+        assert code == 0
+        eval_rows = {r[0]: r[1] for r in _read_csv(ecsv)[1:]}
+        assert row[4:] == [eval_rows["doma"], eval_rows["domc"],
+                           eval_rows["avg_targets"]], version
