@@ -37,20 +37,20 @@ class ConfigError(ValueError):
 
 # -- configuration ---------------------------------------------------------------
 
-_DEFAULT_EXTRAS = {"domain": "A", "n": 200, "val_frac": 0.2, "run": "run"}
+# Every key a config may set, with its default: the model's, then the CLI's.
+_DEFAULTS = {**config_items(ModelConfig()),
+             "domain": "A", "n": 200, "val_frac": 0.2, "run": "run"}
+_ALLOWED_KEYS = set(_DEFAULTS)
 
 
 def default_config() -> dict:
-    return {**config_items(ModelConfig()), **_DEFAULT_EXTRAS}
-
-
-_ALLOWED_KEYS = set(default_config())
+    return dict(_DEFAULTS)
 
 
 def _parse_value(key: str, raw: str):
     """Parse ``raw`` as the type of the key's default value."""
     try:
-        return parse_value(default_config()[key], raw)
+        return parse_value(_DEFAULTS[key], raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
@@ -116,18 +116,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     atomic_write(path, buf.getvalue().encode())
 
 
-def _geometry(cfg: ModelConfig) -> tuple[int, int, int]:
-    return (*cfg.image_size, cfg.num_classes)
+def _pin(cfg: dict, pinned: set, fixed: dict, source) -> dict:
+    """``cfg`` with the settings that the file ``source`` fixes; a ``pinned``
+    key of ``cfg`` that the file contradicts is an error naming the file."""
+    for key in sorted(pinned & fixed.keys()):
+        if cfg[key] != fixed[key]:
+            raise ConfigError(f"{source}: {key} = {format_value(cfg[key])} but "
+                              f"the file has {key} = {format_value(fixed[key])}")
+    return {**cfg, **fixed}
 
 
-def _load_dataset(path, expected: tuple[int, int, int] | None = None):
-    """A dataset's samples and (n, H, W, classes) header; a file whose
-    (H, W, classes) differ from ``expected`` is rejected before it loads."""
-    header = dataset_meta(path)
-    if expected is not None and header[1:] != expected:
-        raise ConfigError(f"{path}: dataset (H, W, classes) is {header[1:]}, "
-                          f"expected {expected}")
-    return dataset_load(path), header
+def _load_dataset(path, cfg: dict, pinned=frozenset({"image_size", "num_classes"})):
+    """(``cfg`` with the file's geometry, the file's samples); a file that
+    contradicts a ``pinned`` key is rejected before it loads."""
+    _, h, w, k = dataset_meta(path)
+    cfg = _pin(cfg, pinned, {"image_size": (h, w), "num_classes": k}, path)
+    return cfg, dataset_load(path)
 
 
 def _split_train_val(samples, val_frac: float):
@@ -138,21 +142,6 @@ def _split_train_val(samples, val_frac: float):
         raise ConfigError(
             f"cannot hold out {n_val} of {len(samples)} samples for validation")
     return samples[:-n_val], samples[-n_val:]
-
-
-def _resolve_data_config(cfg: dict, explicit: set, meta: tuple) -> dict:
-    """Fold dataset geometry into the config, rejecting contradictions."""
-    _, h, w, k = meta
-    out = dict(cfg)
-    if "num_classes" in explicit and cfg["num_classes"] != k:
-        raise ConfigError(
-            f"config num_classes={cfg['num_classes']} but dataset has {k} classes")
-    if "image_size" in explicit and tuple(cfg["image_size"]) != (h, w):
-        raise ConfigError(
-            f"config image_size={cfg['image_size']} but dataset is {(h, w)}")
-    out["num_classes"] = k
-    out["image_size"] = (h, w)
-    return out
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -195,30 +184,19 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _resumed_config(cfg: dict, explicit: set, ckpt) -> dict:
-    """The config that fit trains a resumed run with, echoed as it runs; a
-    flag that contradicts the checkpoint is an error, not a false echo."""
-    model, _, epoch = ckpt
-    saved = config_items(model.cfg)
-    for key in sorted(explicit & (saved.keys() - {"epochs"})):
-        if cfg[key] != saved[key]:
-            raise ConfigError(
-                f"--resume: {key} = {format_value(cfg[key])} but the checkpoint "
-                f"has {key} = {format_value(saved[key])}")
-    resumed = resumed_config(model.cfg, epoch, cfg["epochs"])
-    return {**cfg, **config_items(resumed)}
-
-
 def _train_common(args, cfg: dict, explicit: set, ckpt=None):
     """Shared train/ablate setup: (config, the training file's samples, train
-    set, val set); ``ckpt`` is what checkpoint_load read for --resume."""
-    expected = None if ckpt is None else _geometry(ckpt[0].cfg)
-    samples, header = _load_dataset(args.data, expected)
+    set, val set); ``ckpt`` is what checkpoint_load read for --resume.  A
+    resumed run keeps every setting of its checkpoint but ``epochs``."""
     if ckpt is not None:
-        cfg = _resumed_config(cfg, explicit, ckpt)
-    cfg = _resolve_data_config(cfg, explicit, header)
+        model, _, epoch = ckpt
+        saved = {k: v for k, v in config_items(model.cfg).items() if k != "epochs"}
+        cfg = _pin(cfg, explicit, saved, args.resume)
+        resumed_config(model.cfg, epoch, cfg["epochs"])
+        explicit = explicit | saved.keys()
+    cfg, samples = _load_dataset(args.data, cfg, explicit)
     if args.val:
-        return cfg, samples, samples, _load_dataset(args.val, header[1:])[0]
+        return cfg, samples, samples, _load_dataset(args.val, cfg)[1]
     return cfg, samples, *_split_train_val(samples, cfg["val_frac"])
 
 
@@ -253,9 +231,9 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs at least one target dataset")
     # One frozen view scores each dataset, loaded only while it is scored.
     model = checkpoint_load(args.ckpt)[0].frozen()
+    cfg = config_items(model.cfg)
     paths = ([args.source] if args.source else []) + list(args.data)
-    dices = [evaluate(_load_dataset(path, _geometry(model.cfg))[0], model)
-             for path in paths]
+    dices = [evaluate(_load_dataset(path, cfg)[1], model) for path in paths]
     rows = [[Path(path).stem, dice] for path, dice in zip(paths, dices)]
     rows.append(["avg_targets", float(np.mean(dices[-len(args.data):]))])
     for name, dice in rows:
@@ -295,12 +273,12 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablate needs at least one target dataset")
     cfg, explicit = effective_config(args)
     cfg, source, _, _ = _train_common(args, cfg, explicit)
-    geometry = _geometry(config_from_items(cfg))
+    config_from_items(cfg)  # a bad value exits 2 before any child starts
     # The source column is measured on the full source file so the row is
     # reproducible by a standalone train + eval with the same seed.
     eval_sets = [(Path(args.data).stem, source)]
     for path in args.targets:
-        eval_sets.append((Path(path).stem, _load_dataset(path, geometry)[0]))
+        eval_sets.append((Path(path).stem, _load_dataset(path, cfg)[1]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_config_echo(cfg, out / "config.echo")
@@ -355,7 +333,7 @@ def cmd_ablate(args) -> int:
 def cmd_sample_posterior(args) -> int:
     # No sample is ever differentiated, so the draws run on a frozen view.
     model = checkpoint_load(args.ckpt)[0].frozen()
-    samples, _ = _load_dataset(args.data, _geometry(model.cfg))
+    samples = _load_dataset(args.data, config_items(model.cfg))[1]
     if not 0 <= args.index < len(samples):
         raise ConfigError(
             f"--index {args.index} out of range for {len(samples)} samples")
@@ -397,7 +375,8 @@ def cmd_inspect(args) -> int:
         raise FileNotFoundError(f"no such file: {path}")
     kind = sniff(path)
     if kind == "dataset":
-        _, (n, h, w, k) = _load_dataset(path)  # full checksum validation
+        dataset_load(path)  # full checksum validation
+        n, h, w, k = dataset_meta(path)
         print(f"kind: dataset\nsamples: {n}\nheight: {h}\nwidth: {w}\n"
               f"classes: {k}\nbytes: {path.stat().st_size}\nchecksum: ok")
         return 0

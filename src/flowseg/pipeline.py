@@ -187,9 +187,9 @@ class Conv:
     def __call__(self, x: Tensor) -> Tensor:
         return bias_act(conv2d(x, self.w), self.b)
 
-    def tanh(self, x: Tensor) -> Tensor:
-        """tanh(self(x)) as one tape node, which keeps neither the conv nor the sum."""
-        return bias_act(conv2d(x, self.w), self.b, tanh=True)
+    def tanh(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
+        """tanh(skip + self(x)) as one tape node, keeping neither conv nor sum."""
+        return bias_act(conv2d(x, self.w), self.b, tanh=True, skip=skip)
 
 
 def avg_pool2(x: Tensor) -> Tensor:
@@ -218,7 +218,7 @@ class ResEncoder:
     def trunk(self, x: Tensor) -> Tensor:
         h = self.stem.tanh(x)
         for c1, c2 in self.blocks:
-            h = bias_act(conv2d(c1.tanh(h), c2.w), c2.b, tanh=True, skip=h)
+            h = c2.tanh(c1.tanh(h), skip=h)
         return h
 
     def __call__(self, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -726,9 +726,10 @@ def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
     nonfinite = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
     if nonfinite:
         raise FormatError(path, f"non-finite values in sections: {nonfinite[:4]}")
-    wide = [n for n in ("epoch", "opt.t") if n in arrays and arrays[n].size != 1]
-    if wide:
-        raise FormatError(path, f"sections {wide} must hold one value")
+    counts = [n for n in ("epoch", "opt.t") if n in arrays and (
+        arrays[n].size != 1 or arrays[n].item() < 0 or not arrays[n].item().is_integer())]
+    if counts:
+        raise FormatError(path, f"sections {counts} must each hold one whole number >= 0")
 
     model = Model(cfg)
     named = model.named_params()

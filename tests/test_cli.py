@@ -462,6 +462,26 @@ def test_train_val_geometry_mismatch(work, tmp_path, capsys):
     assert "three.dbfd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, fixed_by, setting", [
+    (["--set", "num_classes=3"], "data", "num_classes = 3"),
+    (["--set", "image_size=64x64"], "data", "image_size = 64x64"),
+    (["--set", "channels=16", "--set", "epochs=2", "--resume"], "ckpt",
+     "channels = 16"),
+], ids=["dataset_classes", "dataset_size", "checkpoint"])
+def test_train_contradiction_names_the_file(work, tmp_path, capsys, flags,
+                                            fixed_by, setting):
+    # A dataset fixes image_size and num_classes; a checkpoint fixes every
+    # key but epochs.  Either file's path heads the message.
+    path = {"data": work["a"], "ckpt": work["run"] / "ckpt-last.dbfc"}[fixed_by]
+    out = tmp_path / "out"
+    code = cli.main(["train", "--data", str(work["a"]), "--out", str(out)]
+                    + FAST + flags + ([str(path)] if fixed_by == "ckpt" else []))
+    assert code == 2
+    assert (f"error: {path}: {setting} but the file has "
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 # -- eval --------------------------------------------------------------------------
 
 
@@ -984,6 +1004,29 @@ def test_section_header_numpy_rejects_is_format_error(work, tmp_path, capsys,
                   tmp_path / "bad_header.dbfc")
     assert cli.main(["inspect", str(bad)]) == 3
     assert f"error: {bad}: section 'epoch': {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, value", [
+    ("epoch", -1.0), ("epoch", 0.5), ("opt.t", -3.0), ("opt.t", 0.5)])
+def test_checkpoint_count_that_is_not_a_whole_number_exits_3(
+        work, tmp_path, capsys, section, value):
+    # A negative or fractional epoch or Adam step count once loaded
+    # truncated, or failed later in numpy or in the first step.
+    raw = work["ckpt"].read_bytes()[:-4]
+    head = (struct.pack("<H", len(section)) + section.encode()
+            + b"\x01" + struct.pack("<I", 1))
+    assert raw.count(head) == 1
+    at = raw.index(head) + len(head)
+    bad = _sealed(raw[:at] + struct.pack("<d", value) + raw[at + 8:],
+                  tmp_path / "count.dbfc")
+    out = tmp_path / "out"
+    for argv in (["inspect", str(bad)],
+                 ["train", "--data", str(work["a"]), "--out", str(out),
+                  "--set", "epochs=2", "--resume", str(bad)]):
+        assert cli.main(argv) == 3
+        assert (f"error: {bad}: sections ['{section}'] must each hold one "
+                "whole number >= 0" in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def _section_headers(raw: bytes) -> list[range]:
