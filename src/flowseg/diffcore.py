@@ -1,23 +1,26 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 Every operation validates its inputs, produces a finite result, and records
-a backward closure on the implicit tape (the graph of parent links carried
-by each tensor).  The ``grad`` slot of each tensor is the only gradient
-store: during a walk it holds an interior node's pending gradient, and after
-it only leaves keep theirs, accumulating across backward calls until
-explicitly zeroed.  One gradient array may sit in the slots of several
-tensors, so none is ever written in place.  The module holds no state:
-disjoint graphs may be walked in different threads, and one thread walks a
-given graph at a time.  Tensor value buffers are frozen after creation;
-updates replace the buffer rather than mutating it, so a recorded graph can
-always be replayed.  An operation whose parents all need no grad records
-nothing, so a computation on detached tensors keeps no tape.  ``bias_act``
-is [tanh](skip + c + b) as one node in the place of c, a conv or matmul
-output, so the tape keeps neither c nor the sums.
+a backward closure on the implicit tape, a graph of ``Node``s apart from the
+values: each node holds its parents' nodes, its closure and its grad slot.
+A closure keeps only the arrays its math reads, so a value that none reads
+is freed once the forward code drops its tensor.  The grad slot of each node
+is the only gradient store: during a walk it holds an interior node's
+pending gradient, and after it only leaves keep theirs, accumulating across
+backward calls until explicitly zeroed.  One gradient array may sit in the
+slots of several nodes, so none is ever written in place.  The module holds
+no state: disjoint graphs may be walked in different threads, and one thread
+walks a given graph at a time.  Tensor value buffers are frozen after
+creation; updates replace the buffer rather than mutating it, so a recorded
+graph can always be replayed.  An operation whose parents all need no grad
+records nothing, so a computation on detached tensors keeps no tape.
+``bias_act`` is [tanh](skip + c + b) as one node in the place of c's, a conv
+or matmul output, so the tape keeps neither c nor the sums.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -63,34 +66,61 @@ def _norm_axis(axis: int, ndim: int, op: str) -> int:
     return axis % ndim
 
 
-class Tensor:
-    """A float64 array plus an optional gradient and tape linkage."""
+class Node:
+    """One vertex of the tape: the parents' nodes, the backward closure (None
+    on a leaf) and the gradient slot.  It refers to its tensor's value only
+    weakly, so ``data`` reads empty once no tensor or closure holds it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("parents", "backward", "grad", "_value")
+
+    def __init__(self, parents: tuple["Node", ...],
+                 backward: Callable[[np.ndarray], None] | None, value: np.ndarray):
+        self.parents, self.backward, self.grad = parents, backward, None
+        self._value = weakref.ref(value)
+
+    @property
+    def data(self) -> np.ndarray:
+        value = self._value()
+        return np.empty(0) if value is None else value
+
+
+class Tensor:
+    """A float64 array plus, when it needs a gradient, its tape node."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
         _finite_or_raise(arr, "tensor construction")
         self.data = _freeze(arr)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node = Node((), None, self.data) if requires_grad else None
 
     @classmethod
-    def _from_op(cls, arr: np.ndarray, parents: tuple["Tensor", ...],
-                 backward: Callable[[np.ndarray], None]) -> "Tensor":
+    def _from_op(cls, arr: np.ndarray, parents: tuple[Node | None, ...],
+                 backward: Callable[[np.ndarray], None] | None) -> "Tensor":
+        """A tensor on the parents' nodes that are not None, with no node if all are."""
         out = cls.__new__(cls)
         out.data = _freeze(np.ascontiguousarray(arr, dtype=np.float64))
-        out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            out._parents = parents
-            out._backward = backward
-        else:
-            out._parents = ()
-            out._backward = None
+        parents = tuple(p for p in parents if p is not None)
+        out._node = Node(parents, backward, out.data) if parents else None
         return out
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        """The node's closure; assigning it replaces the closure a walk runs."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn: Callable[[np.ndarray], None]) -> None:
+        self._node.backward = fn
 
     # -- basic introspection ------------------------------------------------
 
@@ -127,48 +157,45 @@ class Tensor:
 
     def assign(self, arr: np.ndarray) -> None:
         """Replace the value buffer of a leaf (parameter update)."""
-        if self._parents:
+        if self._node is not None and self._node.parents:
             raise ValueError("assign is only valid on leaf tensors")
         arr = np.array(arr, dtype=np.float64)
         if arr.shape != self.data.shape:
             raise ShapeError(f"assign shape {arr.shape} != tensor shape {self.data.shape}")
         _finite_or_raise(arr, "assign")
         self.data = _freeze(arr)
+        if self._node is not None:
+            self._node._value = weakref.ref(self.data)
 
     # -- binary elementwise ops (numpy broadcasting) ------------------------
 
-    def _binary(self, other, fwd, bwd_a, bwd_b, op: str) -> "Tensor":
+    def _binary(self, other, fwd, grad_a, grad_b, op: str) -> "Tensor":
+        """fwd(a, b) on self and other; ``grad_a(a, b)`` gives a's gradient map."""
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self.data, other.data
         try:
             res = fwd(a, b)
         except ValueError as exc:
             raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not conform") from exc
-        _finite_or_raise(res, op)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(bwd_a(g, a, b), a.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(bwd_b(g, a, b), b.shape))
-
-        return Tensor._from_op(res, (self, other), backward)
+        return _record(_finite_or_raise(res, op), (self, grad_a(a, b)), (other, grad_b(a, b)))
 
     def __add__(self, other):
-        return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g, "add")
+        return self._binary(other, np.add, lambda a, b: lambda g: g,
+                            lambda a, b: lambda g: g, "add")
 
     def __radd__(self, other):
         return Tensor(other).__add__(self)
 
     def __sub__(self, other):
-        return self._binary(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g, "sub")
+        return self._binary(other, np.subtract, lambda a, b: lambda g: g,
+                            lambda a, b: np.negative, "sub")
 
     def __rsub__(self, other):
         return Tensor(other).__sub__(self)
 
     def __mul__(self, other):
         return self._binary(other, np.multiply,
-                            lambda g, a, b: g * b, lambda g, a, b: g * a, "mul")
+                            lambda a, b: lambda g: g * b, lambda a, b: lambda g: g * a, "mul")
 
     def __rmul__(self, other):
         return Tensor(other).__mul__(self)
@@ -178,52 +205,34 @@ class Tensor:
         if np.any(other.data == 0.0):
             raise DomainError("div: denominator contains zero")
         return self._binary(other, np.divide,
-                            lambda g, a, b: g / b,
-                            lambda g, a, b: -g * a / (b * b), "div")
+                            lambda a, b: lambda g: g / b,
+                            lambda a, b: lambda g: -g * a / (b * b), "div")
 
     def __rtruediv__(self, other):
         return Tensor(other).__truediv__(self)
 
     def __neg__(self):
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, -g)
-        return Tensor._from_op(-self.data, (self,), backward)
+        return _record(-self.data, (self, np.negative))
 
     # -- unary elementwise ops ----------------------------------------------
 
     def exp(self) -> "Tensor":
         res = _finite_or_raise(np.exp(self.data), "exp")
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * res)
-
-        return Tensor._from_op(res, (self,), backward)
+        return _record(res, (self, lambda g: g * res))
 
     def log(self) -> "Tensor":
         if np.any(self.data <= 0.0):
             raise DomainError("log: operand contains values <= 0")
-        res = np.log(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g / self.data)
-
-        return Tensor._from_op(res, (self,), backward)
+        x = self.data
+        return _record(np.log(x), (self, lambda g: g / x))
 
     def tanh(self) -> "Tensor":
         res = np.tanh(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * (1.0 - res * res))
-
-        return Tensor._from_op(res, (self,), backward)
+        return _record(res, (self, lambda g: g * (1.0 - res * res)))
 
     def square(self) -> "Tensor":
-        res = _finite_or_raise(self.data * self.data, "square")
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * 2.0 * self.data)
-
-        return Tensor._from_op(res, (self,), backward)
+        x = self.data
+        return _record(_finite_or_raise(x * x, "square"), (self, lambda g: g * 2.0 * x))
 
     # -- contractions ---------------------------------------------------------
 
@@ -232,15 +241,8 @@ class Tensor:
         a, b = self.data, other.data
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-        res = _finite_or_raise(a @ b, "matmul")
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                _accumulate(self, g @ b.T)
-            if other.requires_grad:
-                _accumulate(other, a.T @ g)
-
-        return Tensor._from_op(res, (self, other), backward)
+        return _record(_finite_or_raise(a @ b, "matmul"),
+                       (self, lambda g: g @ b.T), (other, lambda g: a.T @ g))
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -255,11 +257,7 @@ class Tensor:
         # axes at length 1, then expands over them
         axes = np.arange(len(shape)) if axis is None else np.atleast_1d(axis) % len(shape)
         kept = tuple(1 if i in axes else n for i, n in enumerate(shape))
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, np.broadcast_to(g.reshape(kept), shape).copy())
-
-        return Tensor._from_op(res, (self,), backward)
+        return _record(res, (self, lambda g: np.broadcast_to(g.reshape(kept), shape).copy()))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else int(np.prod(np.take(self.shape, axis)))
@@ -271,14 +269,14 @@ class Tensor:
         idx = self.data.argmax(axis=axis_n)
         shape = self.data.shape
 
-        def backward(g: np.ndarray) -> None:
+        def grad(g: np.ndarray) -> np.ndarray:
             # gradient routes to the first maximal element along the axis
             full = np.zeros(shape)
             np.put_along_axis(full, np.expand_dims(idx, axis_n),
                               np.expand_dims(g.reshape(idx.shape), axis_n), axis=axis_n)
-            _accumulate(self, full)
+            return full
 
-        return Tensor._from_op(res, (self,), backward)
+        return _record(res, (self, grad))
 
     # -- shape ops ------------------------------------------------------------
 
@@ -290,11 +288,7 @@ class Tensor:
         except ValueError as exc:
             raise ShapeError(f"reshape: cannot view {self.data.shape} as {shape}") from exc
         src = self.data.shape
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g.reshape(src))
-
-        return Tensor._from_op(res, (self,), backward)
+        return _record(res, (self, lambda g: g.reshape(src)))
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
@@ -302,12 +296,8 @@ class Tensor:
             raise ShapeError(
                 f"transpose: axes {axes} is not a permutation for shape {self.data.shape}")
         inverse = tuple(np.argsort(axes))
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, np.ascontiguousarray(g.transpose(inverse)))
-
-        return Tensor._from_op(np.ascontiguousarray(self.data.transpose(axes)),
-                               (self,), backward)
+        return _record(np.ascontiguousarray(self.data.transpose(axes)),
+                       (self, lambda g: np.ascontiguousarray(g.transpose(inverse))))
 
     def broadcast(self, shape: Sequence[int]) -> "Tensor":
         shape = tuple(shape)
@@ -315,12 +305,8 @@ class Tensor:
             res = np.broadcast_to(self.data, shape)
         except ValueError as exc:
             raise ShapeError(f"broadcast: cannot expand {self.data.shape} to {shape}") from exc
-        src = self.data.shape
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, _unbroadcast(g, src))
-
-        return Tensor._from_op(res.copy(), (self,), backward)
+        # the gradient is summed back over the broadcast axes by _record
+        return _record(res.copy(), (self, lambda g: g))
 
     def slice(self, axis: int, start: int, stop: int) -> "Tensor":
         axis_n = _norm_axis(axis, self.data.ndim, "slice")
@@ -329,15 +315,14 @@ class Tensor:
             raise ShapeError(f"slice: [{start}:{stop}] invalid for axis {axis} of length {n}")
         key = tuple(slice(None) if i != axis_n else slice(start, stop)
                     for i in range(self.data.ndim))
-        res = self.data[key]
         shape = self.data.shape
 
-        def backward(g: np.ndarray) -> None:
+        def grad(g: np.ndarray) -> np.ndarray:
             full = np.zeros(shape)
             full[key] = g
-            _accumulate(self, full)
+            return full
 
-        return Tensor._from_op(res.copy(), (self,), backward)
+        return _record(self.data[key].copy(), (self, grad))
 
     def softmax(self, axis: int) -> "Tensor":
         axis_n = _norm_axis(axis, self.data.ndim, "softmax")
@@ -345,17 +330,30 @@ class Tensor:
         e = np.exp(shifted)
         res = e / e.sum(axis=axis_n, keepdims=True)
 
-        def backward(g: np.ndarray) -> None:
+        def grad(g: np.ndarray) -> np.ndarray:
             dot = (g * res).sum(axis=axis_n, keepdims=True)
-            _accumulate(self, (g - dot) * res)
+            return (g - dot) * res
 
-        return Tensor._from_op(res, (self,), backward)
+        return _record(res, (self, grad))
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g to the grad slot of t, never in place: a closure may hand the
+def _record(res: np.ndarray, *pairs: tuple[Tensor, Callable]) -> Tensor:
+    """res on each (tensor, grad) pair's tensor that needs a gradient; grad
+    maps the upstream gradient to it, summed back over broadcast axes.  Only
+    the maps of those tensors are kept, so the tape keeps only what they read."""
+    kept = [(t._node, grad, t.shape) for t, grad in pairs if t._node is not None]
+
+    def backward(g: np.ndarray) -> None:
+        for node, grad, shape in kept:
+            _accumulate(node, _unbroadcast(grad(g), shape))
+
+    return Tensor._from_op(res, tuple(node for node, _, _ in kept), backward)
+
+
+def _accumulate(node: Node, g: np.ndarray) -> None:
+    """Add g to the grad slot of node, never in place: a closure may hand the
     same array to two parents."""
-    t.grad = g if t.grad is None else t.grad + g
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -368,24 +366,19 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     except ValueError as exc:
         shapes = [t.data.shape for t in tensors]
         raise ShapeError(f"concat: shapes {shapes} do not conform on axis {axis}") from exc
-    sizes = [t.data.shape[axis_n] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                key = tuple(slice(None) if i != axis_n else slice(a, b)
-                            for i in range(g.ndim))
-                _accumulate(t, g[key])
-
-    return Tensor._from_op(res, tuple(tensors), backward)
+    offsets = np.cumsum([0] + [t.data.shape[axis_n] for t in tensors])
+    keys = [tuple(slice(None) if i != axis_n else slice(a, b) for i in range(res.ndim))
+            for a, b in zip(offsets[:-1], offsets[1:])]
+    return _record(res, *[(t, lambda g, key=key: g[key]) for t, key in zip(tensors, keys)])
 
 
 def _taps(x: np.ndarray) -> list[np.ndarray]:
     """Nine (B, C, H*(W+2)) views of x zero-padded to rows W+2 wide laid end to
     end, one row above and two below: tap (ky, kx) starts at ky*(W+2)+kx."""
     b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 2), (1, 1))).reshape(b, c, -1)
+    xp = np.zeros((b, c, h + 3, w + 2))
+    xp[:, :, 1:h + 1, 1:w + 1] = x
+    xp = xp.reshape(b, c, -1)
     return [xp[:, :, ky * (w + 2) + kx:][:, :, :h * (w + 2)]
             for ky in range(3) for kx in range(3)]
 
@@ -423,26 +416,30 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: input channels {xa.shape} do not match kernel {wa.shape}")
     x_taps = _taps(xa)
     res = _finite_or_raise(_correlate(x_taps, wa, xa.shape[3]), "conv2d")
+    # dw reads x's own buffer, not a padded copy (backward pads it again), and
+    # dx the flipped kernel: each is kept only when its gradient is needed
+    nx, nw = x._node, w._node
+    x_kept = None if nw is None else xa
+    w_flip = None if nx is None else wa[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
-    # The closure keeps x's own buffer, not a padded copy: backward pads again.
     def backward(g: np.ndarray) -> None:
         g_taps = _taps(g)
-        if w.requires_grad:
+        if nw is not None:
             # the centre tap of g is g in rows W+2 wide, zero past column W
-            dw = [(g_taps[4] @ xk.transpose(0, 2, 1)).sum(axis=0) for xk in _taps(xa)]
-            _accumulate(w, np.stack(dw, axis=-1).reshape(wa.shape))
-        if x.requires_grad:
+            dw = [(g_taps[4] @ xk.transpose(0, 2, 1)).sum(axis=0) for xk in _taps(x_kept)]
+            _accumulate(nw, np.stack(dw, axis=-1).reshape(dw[0].shape + (3, 3)))
+        if nx is not None:
             # full correlation of the upstream gradient with the flipped kernel
-            w_flip = wa[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            _accumulate(x, _correlate(g_taps, w_flip, xa.shape[3]))
+            _accumulate(nx, _correlate(g_taps, w_flip, g.shape[3]))
 
-    return Tensor._from_op(res, (x, w), backward)
+    return Tensor._from_op(res, (nx, nw), backward)
 
 
 def bias_act(c: Tensor, b: Tensor, *, tanh: bool = False,
              skip: Tensor | None = None) -> Tensor:
     """[tanh](skip + (c + b)), b broadcast over axis 1, as one node that takes
-    c's place: it gets c's parents and runs c's closure, so no node keeps c."""
+    the place of c's node: it gets that node's parents and runs its closure,
+    so nothing keeps c.  A tanh node keeps its output, the identity nothing."""
     if (b.ndim != 1 or c.ndim < 2 or c.shape[1] != b.shape[0]
             or skip is not None and skip.shape != c.shape):
         raise ShapeError(f"bias_act: shapes {c.shape}, {b.shape} and skip "
@@ -453,39 +450,57 @@ def bias_act(c: Tensor, b: Tensor, *, tanh: bool = False,
     _finite_or_raise(res, "bias_act")
     if tanh:
         np.tanh(res, out=res)
-    inner, c_backward = c._parents, c._backward
-    if c_backward is None:  # a leaf stays a parent
-        inner, c_backward = (c,), lambda g: c.requires_grad and _accumulate(c, g)
+    y = res if tanh else None
+    ns, nb, nc = None if skip is None else skip._node, b._node, c._node
+    inner, c_backward = (nc.parents, nc.backward) if nc is not None else ((), None)
+    if nc is not None and c_backward is None:  # a leaf stays a parent and takes gs
+        inner, c_backward = (nc,), lambda g: _accumulate(nc, g)
 
     def backward(g: np.ndarray) -> None:
-        gs = g * (1.0 - res * res) if tanh else g
-        if skip is not None and skip.requires_grad:
-            _accumulate(skip, gs)
-        if b.requires_grad:
-            _accumulate(b, gs.sum(axis=(0,) + tuple(range(2, gs.ndim))))
-        c_backward(gs)
+        gs = g if y is None else g * (1.0 - y * y)
+        if ns is not None:
+            _accumulate(ns, gs)
+        if nb is not None:
+            _accumulate(nb, gs.sum(axis=(0,) + tuple(range(2, gs.ndim))))
+        if c_backward is not None:
+            c_backward(gs)
 
-    return Tensor._from_op(res, (skip,) * (skip is not None) + inner + (b,), backward)
+    return Tensor._from_op(res, (ns,) + inner + (nb,), backward)
 
 
-def trace(root: Tensor) -> list[Tensor]:
-    """Topologically ordered tape below root (parents before children)."""
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+def trace(root: Tensor) -> list[Node]:
+    """Topologically ordered nodes of the tape below root (parents before
+    children); empty when root needs no gradient."""
+    order: list[Node] = []
+    seen: set[Node] = set()
+    stack = [(root._node, False)] if root._node is not None else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
+        for p in node.parents:
+            if p not in seen:
                 stack.append((p, False))
     return order
+
+
+def tape_nbytes(root: Tensor) -> int:
+    """Bytes of the distinct buffers that the values of the nodes below root
+    still hold, each view's base counted once: every leaf, and each op output
+    that a closure keeps or a caller still holds.  An array that a closure
+    keeps but that is no node's value (an OU increment) is not counted."""
+    buffers = {}
+    for node in trace(root):
+        arr = node.data
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        buffers[id(arr)] = arr.nbytes
+    return sum(buffers.values())
 
 
 def backward(loss: Tensor) -> None:
@@ -502,21 +517,22 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise ValueError("backward: root does not require grad")
     order = trace(loss)
-    _accumulate(loss, np.ones(loss.data.shape))
+    _accumulate(loss._node, np.ones(loss.data.shape))
     try:
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+            if node.backward is not None and node.grad is not None:
                 g, node.grad = node.grad, None
-                node._backward(g)
+                node.backward(g)
     finally:
         for node in order:
-            if node._backward is not None:
+            if node.backward is not None:
                 node.grad = None
 
 
 def zero_grad(tensors: Iterable[Tensor]) -> None:
     for t in tensors:
-        t.grad = None
+        if t._node is not None:
+            t._node.grad = None
 
 
 def grad_check(fn: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3) -> float:

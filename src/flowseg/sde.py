@@ -83,18 +83,22 @@ def euler_maruyama(params: OuParams, z0, rng: np.random.Generator,
         z = _finite_or_raise(z + step, "add")
         states.append(Tensor._from_op(z, (), None))
 
-    # Only Z_0 can be narrower than the broadcast shape of the later states.
+    # The closure keeps the increments and no value of a state or parameter;
+    # only Z_0 can be narrower than the broadcast shape of the later states.
+    n_mu, n_sigma, n_z0 = mu._node if drifted else None, sigma._node, z0._node
+    mu_shape, sigma_shape, z0_shape = mu.shape, sigma.shape, z0.shape
+
     def backward(g: np.ndarray) -> None:
         for eps in reversed(increments):
-            if sigma.requires_grad:
-                _accumulate(sigma, _unbroadcast(g * eps, sigma.shape))
-            if drifted and mu.requires_grad:
-                _accumulate(mu, _unbroadcast(g * dt, mu.shape))
+            if n_sigma is not None:
+                _accumulate(n_sigma, _unbroadcast(g * eps, sigma_shape))
+            if n_mu is not None:
+                _accumulate(n_mu, _unbroadcast(g * dt, mu_shape))
             g = g + (-(g * dt)) if drifted else g
-        if z0.requires_grad:
-            _accumulate(z0, _unbroadcast(g, z0.shape))
+        if n_z0 is not None:
+            _accumulate(n_z0, _unbroadcast(g, z0_shape))
 
-    states[-1] = Tensor._from_op(z, (mu, sigma, z0) if drifted else (sigma, z0), backward)
+    states[-1] = Tensor._from_op(z, (n_mu, n_sigma, n_z0), backward)
     return DiffusionPath(states=states, increments=increments, dt=dt, drifted=drifted)
 
 

@@ -786,7 +786,7 @@ def test_sample_posterior_draws_equal_forward_on_the_loaded_model(
     assert len(drawn) == 3
     for i, (frozen, got) in enumerate(drawn):
         assert not any(p.requires_grad for p in frozen.params())
-        assert got.y_hat._parents == ()
+        assert got.y_hat._node is None
         want = pl.forward(image, model, "train", rng)
         assert want.y_hat.requires_grad
         np.testing.assert_array_equal(got.y_hat.data, want.y_hat.data)

@@ -4,12 +4,14 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from flowseg import diffcore as dc
 from flowseg.diffcore import Tensor, backward, concat, conv2d, grad_check, trace, zero_grad
+from flowseg.sde import OuParams, euler_maruyama
 
 
 def test_add_values():
@@ -160,8 +162,8 @@ def test_conv2d_backward_with_one_operand_requiring_grad(x_grad):
 
 
 def test_conv2d_keeps_no_padded_copy_of_its_input():
-    # The closure keeps x, which x's own node holds already, and pads it
-    # again in backward; a padded copy would add (H+3)(W+2)/(HW) of x.
+    # The closure keeps x's own buffer, which x's tensor holds already, and
+    # pads it again in backward; a padded copy would add (H+3)(W+2)/(HW) of x.
     rng = np.random.default_rng(6)
     x = Tensor(rng.normal(size=(4, 8, 32, 32)), requires_grad=True)
     w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
@@ -247,8 +249,8 @@ def test_bias_act_is_one_node_bitwise_equal_to_the_unfused_composition(form):
         y = (dc.bias_act if fused else _unfused)(op(x, k), b, tanh=tanh, skip=skip)
         if fused:
             # the op output is absorbed: one node on the op's own operands
-            assert y._parents == (skip,) * with_skip + (x, k, b)
-            assert [n for n in trace(y) if n._backward is not None] == [y]
+            assert y._node.parents == tuple(t._node for t in (skip,) * with_skip + (x, k, b))
+            assert [n for n in trace(y) if n.backward is not None] == [y._node]
         backward((y * g).sum())
         runs.append([y.data, x.grad, k.grad, b.grad] + [s.grad] * with_skip)
     for got, ref in zip(*runs):
@@ -367,10 +369,80 @@ def test_trace_is_topologically_ordered():
     x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     y = ((x.tanh() * x).softmax(axis=1) + x.square()).sum()
     order = trace(y)
-    pos = {id(t): i for i, t in enumerate(order)}
+    pos = {node: i for i, node in enumerate(order)}
     for node in order:
-        for parent in node._parents:
-            assert pos[id(parent)] < pos[id(node)]
+        for parent in node.parents:
+            assert pos[parent] < pos[node]
+    # The walk runs sum, add, softmax, mul, tanh and square, and reaches x
+    # last.  Only the root, the softmax output its closure reads, the tanh
+    # output that mul and its own closure read, and x keep their values.
+    kept = [node.data.size > 0 for node in reversed(order)]
+    assert kept == [True, False, True, False, True, False, True]
+    assert order[0] is x._node and order[-1] is y._node
+
+
+def _ou_path(mu, sigma, z0):
+    path = euler_maruyama(OuParams(mu, sigma), z0, np.random.default_rng(0))
+    extras = {f"eps{i}": eps for i, eps in enumerate(path.increments)}
+    extras.update({f"z{i}": z.data for i, z in enumerate(path.states[1:-1], 1)})
+    return path.terminal, extras
+
+
+_EPS = {f"eps{i}" for i in range(8)}
+_CONV = [(2, 3, 4, 5), (4, 3, 3, 3), (4,)]
+# op: (function, operand shapes, the operands that need a gradient, the
+# values that the tape keeps once the forward code drops every tensor)
+_SAVES = {
+    "add": (lambda a, b: a + b, [(3, 4), (4,)], "ab", set()),
+    "sub": (lambda a, b: a - b, [(3, 4), (4,)], "ab", set()),
+    "neg": (lambda a: -a, [(3, 4)], "a", set()),
+    "reshape": (lambda a: a.reshape((4, 3)), [(3, 4)], "a", set()),
+    "transpose": (lambda a: a.transpose((1, 0)), [(3, 4)], "a", set()),
+    "broadcast": (lambda a: a.broadcast((3, 4)), [(1, 4)], "a", set()),
+    "slice": (lambda a: a.slice(1, 1, 3), [(3, 4)], "a", set()),
+    "concat": (lambda a, b: concat([a, b], axis=0), [(3, 4), (2, 4)], "ab", set()),
+    "sum": (lambda a: a.sum(axis=1), [(3, 4)], "a", set()),
+    "tanh": (Tensor.tanh, [(3, 4)], "a", {"out"}),
+    "exp": (Tensor.exp, [(3, 4)], "a", {"out"}),
+    "softmax": (lambda a: a.softmax(axis=1), [(3, 4)], "a", {"out"}),
+    # the conv output is absorbed; its operands stay for the conv's closure
+    "bias_act tanh": (lambda a, b, c: dc.bias_act(conv2d(a, b), c, tanh=True),
+                      _CONV, "abc", {"a", "b", "out"}),
+    "bias_act": (lambda a, b, c: dc.bias_act(conv2d(a, b), c), _CONV, "abc", {"a", "b"}),
+    "bias_act tanh, leaf": (lambda a, c: dc.bias_act(a, c, tanh=True),
+                            [(3, 4), (4,)], "ab", {"out"}),
+    "mul": (lambda a, b: a * b, [(3, 4), (4,)], "ab", {"a", "b"}),
+    "mul, a only": (lambda a, b: a * b, [(3, 4), (4,)], "a", {"b"}),
+    "mul, b only": (lambda a, b: a * b, [(3, 4), (4,)], "b", {"a"}),
+    "div": (lambda a, b: a / b, [(3, 4), (4,)], "ab", {"a", "b"}),
+    "div, a only": (lambda a, b: a / b, [(3, 4), (4,)], "a", {"b"}),
+    "div, b only": (lambda a, b: a / b, [(3, 4), (4,)], "b", {"a", "b"}),
+    "matmul": (Tensor.matmul, [(3, 4), (4, 2)], "ab", {"a", "b"}),
+    "matmul, a only": (Tensor.matmul, [(3, 4), (4, 2)], "a", {"b"}),
+    "matmul, b only": (Tensor.matmul, [(3, 4), (4, 2)], "b", {"a"}),
+    "conv2d": (conv2d, _CONV[:2], "ab", {"a", "b"}),
+    "conv2d, x only": (conv2d, _CONV[:2], "a", {"b"}),
+    "conv2d, w only": (conv2d, _CONV[:2], "b", {"a"}),
+    "log": (Tensor.log, [(3, 4)], "a", {"a"}),
+    "square": (Tensor.square, [(3, 4)], "a", {"a"}),
+    "ou path": (_ou_path, [(2, 3), (2, 3), (2, 3)], "abc", _EPS),
+}
+
+
+@pytest.mark.parametrize("op", list(_SAVES))
+def test_each_closure_keeps_only_what_its_math_reads(op):
+    fn, shapes, grads, kept = _SAVES[op]
+    rng = np.random.default_rng(0)
+    operands = [Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=name in grads)
+                for name, shape in zip("abc", shapes)]
+    out = fn(*operands)
+    out, extras = out if isinstance(out, tuple) else (out, {})
+    values = {**{name: t.data for name, t in zip("abc", operands)}, "out": out.data, **extras}
+    refs = {name: weakref.ref(v) for name, v in values.items()}
+    loss = out.sum()  # sum keeps nothing
+    del operands, out, extras, values
+    assert {name for name, r in refs.items() if r() is not None} == kept
+    backward(loss)  # the kept values are all the walk reads
 
 
 def test_concurrent_backward_keeps_grads_per_thread():
@@ -417,7 +489,7 @@ def test_backward_leaves_no_grad_on_interior_nodes():
     rng = np.random.default_rng(5)
     xd, wd = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
     loss, sq, x, w = build(xd, wd)
-    interior = [n for n in trace(loss) if n._backward is not None]
+    interior = [n for n in trace(loss) if n.backward is not None]
 
     def pending():
         return [n for n in interior if n.grad is not None]

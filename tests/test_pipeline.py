@@ -4,6 +4,7 @@ import copy
 import re
 import struct
 import tracemalloc
+import weakref
 import zlib
 from dataclasses import fields, replace
 from pathlib import Path
@@ -138,16 +139,31 @@ def test_bounded_log_var_range():
     assert out[0] < -9.99 and out[4] > 9.99
 
 
-def test_conv_tanh_is_one_node_and_bitwise_equal_to_conv_then_tanh():
+def _conv_outputs(monkeypatch) -> list:
+    """Weak references to the value of every conv2d output that pipeline makes."""
+    refs, real_conv2d = [], pl.conv2d
+
+    def conv2d(x, w):
+        out = real_conv2d(x, w)
+        refs.append(weakref.ref(out.data))
+        return out
+    monkeypatch.setattr(pl, "conv2d", conv2d)
+    return refs
+
+
+def test_conv_tanh_is_one_node_and_bitwise_equal_to_conv_then_tanh(monkeypatch):
     rng = np.random.default_rng(3)
     conv = pl.Conv(3, 4, rng)
     conv.b.assign(rng.normal(size=4))
     x0, g = rng.normal(size=(2, 3, 5, 6)), rng.normal(size=(2, 4, 5, 6))
     x = dc.Tensor(x0, requires_grad=True)
+    convs = _conv_outputs(monkeypatch)
     y = conv.tanh(x)
-    # one node on the conv's operands and the bias: no conv output, sum or reshape
-    assert [n for n in dc.trace(y) if n._backward is not None] == [y]
-    assert y._parents == (x, conv.w, conv.b)
+    # one node on the conv's operands and the bias: no conv output, sum or
+    # reshape, and the conv output is freed once the block returns
+    assert [n for n in dc.trace(y) if n.backward is not None] == [y._node]
+    assert y._node.parents == (x._node, conv.w._node, conv.b._node)
+    assert len(convs) == 1 and convs[0]() is None
     dc.backward((y * dc.Tensor(g)).sum())
     grads = [x.grad, conv.w.grad, conv.b.grad]
     dc.zero_grad([conv.w, conv.b])
@@ -159,7 +175,7 @@ def test_conv_tanh_is_one_node_and_bitwise_equal_to_conv_then_tanh():
         np.testing.assert_array_equal(got, ref)
 
 
-def test_residual_block_is_one_node_on_its_skip_and_conv_operands():
+def test_residual_block_is_one_node_on_its_skip_and_conv_operands(monkeypatch):
     rng = np.random.default_rng(4)
     enc = pl.ResEncoder(2, 3, 1, rng)
     params = [p for name, p in pl._named_tensors(enc, "") if not name.startswith("head")]
@@ -167,10 +183,16 @@ def test_residual_block_is_one_node_on_its_skip_and_conv_operands():
         p.assign(rng.normal(size=p.shape))
     x0 = rng.normal(size=(2, 2, 5, 6))
     x = dc.Tensor(x0, requires_grad=True)
+    convs = _conv_outputs(monkeypatch)
     y = enc.trunk(x)
     (c1, c2) = enc.blocks[-1]
-    skip, x1, w, b = y._parents
-    assert (w, b) == (c2.w, c2.b) and x1._parents == (skip, c1.w, c1.b)
+    skip, x1, w, b = y._node.parents
+    assert (w, b) == (c2.w._node, c2.b._node)
+    assert x1.parents == (skip, c1.w._node, c1.b._node)
+    # no conv output outlives its block; the block input and the inner tanh
+    # output stay, each read by the closure of the conv it feeds
+    assert len(convs) == 5 and [r for r in convs if r() is not None] == []
+    assert skip.data.size > 0 and x1.data.size > 0
     g = dc.Tensor(rng.normal(size=y.shape))
     dc.backward((y * g).sum())
     grads = [x.grad] + [p.grad for p in params]
@@ -678,7 +700,7 @@ def test_posterior_mean_records_no_tape():
     images, _ = pl.batch_tensors(_toy_samples(2, 16, 16), 2)
     probs = pl.posterior_mean(images, model)
     assert not probs.requires_grad
-    assert probs._parents == () and probs._backward is None
+    assert probs._node is None and probs._backward is None and dc.trace(probs) == []
     assert all(p.requires_grad for p in model.params())
 
 
@@ -807,26 +829,43 @@ def test_tape_size_does_not_grow_with_sde_steps(monkeypatch):
         model = pl.Model(cfg)
         opt = pl.Adam(model.named_params(), cfg.learning_rate)
         pl.train_step(samples, model, opt, np.random.default_rng(0))
-        op_nodes.append(sum(n._backward is not None for n in dc.trace(roots[-1])))
+        op_nodes.append(sum(n.backward is not None for n in dc.trace(roots[-1])))
     assert op_nodes[0] == op_nodes[1], op_nodes
 
 
 def test_no_conv_output_stays_on_a_training_tape(monkeypatch):
-    # bias_act absorbs each conv node, so the tape never names a conv output
-    # and each is freed once its block returns
-    outputs, roots = [], []
-    real_conv2d, real_backward = pl.conv2d, pl.backward
-    monkeypatch.setattr(pl, "conv2d",
-                        lambda x, w: outputs.append(real_conv2d(x, w)) or outputs[-1])
-    monkeypatch.setattr(pl, "backward",
-                        lambda loss: roots.append(loss) or real_backward(loss))
+    # bias_act absorbs each conv node and no closure reads a conv output, so
+    # each is freed once its block returns, while the whole tape is alive
+    outputs = _conv_outputs(monkeypatch)
+    alive, real_backward = [], pl.backward
+
+    def backward(loss):
+        alive.append([i for i, r in enumerate(outputs) if r() is not None])
+        real_backward(loss)
+    monkeypatch.setattr(pl, "backward", backward)
     model = pl.Model(pl.config_for_version(_tiny_cfg(batch_size=2), "ver5"))
     pl.train_step(_toy_samples(2, 16, 16), model, pl.Adam(model.named_params(), 0.1),
                   np.random.default_rng(0))
     # two encoders of seven convs and a U-Net of twelve
     assert len(outputs) == 26
-    on_tape = {id(n) for n in dc.trace(roots[0])}
-    assert [i for i, c in enumerate(outputs) if id(c) in on_tape] == []
+    assert alive == [[]]
+
+
+def test_a_training_tape_keeps_only_what_backward_reads(monkeypatch):
+    # One ver5 tape at B=8, 64x64 and the default config held 103.6 MB of
+    # distinct buffers while each node kept its parents' values alive, and
+    # holds 64.0 MB of the values its closures read (and the few the step
+    # still holds when it calls backward).
+    nbytes, real_backward = [], pl.backward
+
+    def backward(loss):
+        nbytes.append(dc.tape_nbytes(loss))
+        real_backward(loss)
+    monkeypatch.setattr(pl, "backward", backward)
+    model = pl.Model(pl.ModelConfig())
+    pl.train_step(_toy_samples(8, 64, 64), model, pl.Adam(model.named_params(), 0.1),
+                  np.random.default_rng(0))
+    assert len(nbytes) == 1 and 57e6 < nbytes[0] < 71e6, f"tape {nbytes[0] / 1e6:.1f} MB"
 
 
 def test_train_step_peak_memory_guard():
@@ -834,7 +873,8 @@ def test_train_step_peak_memory_guard():
     # traced allocations while each OU step kept five nodes and each conv
     # closure a padded input, at 214 MiB while each bias add before a tanh
     # kept its sum, at 173 MiB while each conv output stayed on the tape for
-    # its bias add to name, and at 121.5 MiB without.
+    # its bias add to name, at 121.5 MiB while each node kept its parents'
+    # values, and at 85.5 MiB since each closure keeps only what it reads.
     cfg = pl.ModelConfig()
     samples = _toy_samples(8, 64, 64)
     model = pl.Model(cfg)
@@ -845,7 +885,7 @@ def test_train_step_peak_memory_guard():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 135 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 95 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- checkpoints -------------------------------------------------------------------------
