@@ -14,8 +14,7 @@ import math
 import numpy as np
 
 from flowseg.diffcore import Tensor
-from flowseg.sde import (OuParams, euler_maruyama, girsanov_log_weight_field,
-                         ou_analytic_moments)
+from flowseg.sde import OuParams, euler_maruyama, ou_analytic_moments
 
 rng = np.random.default_rng(11)
 n_paths = 100_000
@@ -27,8 +26,8 @@ print("=" * 70)
 params = OuParams(mu=Tensor(np.full(n_paths, 0.7)),
                   sigma=Tensor(np.full(n_paths, 1.0)),
                   horizon=1.0, n_steps=8)
-path = euler_maruyama(params, Tensor(np.zeros(n_paths)), rng, drifted=False)
-w = np.exp(girsanov_log_weight_field(path, params))
+_, log_w = euler_maruyama(params, Tensor(np.zeros(n_paths)), rng, drifted=False)
+w = np.exp(log_w)
 se = w.std(ddof=1) / math.sqrt(n_paths)
 print(f"driftless paths, mu=0.7 sigma=1.0 n=8: "
       f"E[w] = {w.mean():.5f} +- {se:.5f}  (want 1)")
@@ -43,7 +42,7 @@ for n_steps in (8, 64):
     p = OuParams(mu=Tensor(np.full(n_paths, mu)),
                  sigma=Tensor(np.full(n_paths, sigma)),
                  horizon=1.0, n_steps=n_steps)
-    terminal = euler_maruyama(p, Tensor(np.full(n_paths, z0)), rng).terminal.data
+    terminal = euler_maruyama(p, Tensor(np.full(n_paths, z0)), rng)[0].data
     dt = 1.0 / n_steps
     mean_d = mu + (z0 - mu) * (1.0 - dt) ** n_steps
     var_d = sigma * sigma * (1.0 - (1.0 - dt) ** (2 * n_steps)) / (2.0 - dt)

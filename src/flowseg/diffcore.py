@@ -493,7 +493,7 @@ def tape_nbytes(root: Tensor) -> int:
     """Bytes of the distinct buffers that the values of the nodes below root
     still hold, each view's base counted once: every leaf, and each op output
     that a closure keeps or a caller still holds.  An array that a closure
-    keeps but that is no node's value (an OU increment) is not counted."""
+    keeps but that is no node's value (an OU path's Horner sum) is not counted."""
     buffers = {}
     for node in trace(root):
         arr = node.data

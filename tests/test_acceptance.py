@@ -102,9 +102,9 @@ def test_criterion_02_martingale():
         params = sd.OuParams(mu=Tensor(np.full(n_paths, 0.7)),
                              sigma=Tensor(np.full(n_paths, sigma)),
                              horizon=horizon, n_steps=n_steps)
-        path = sd.euler_maruyama(params, Tensor(np.zeros(n_paths)), rng,
-                                 drifted=False)
-        w = np.exp(sd.girsanov_log_weight_field(path, params))
+        _, log_w = sd.euler_maruyama(params, Tensor(np.zeros(n_paths)), rng,
+                                     drifted=False)
+        w = np.exp(log_w)
         se = w.std(ddof=1) / math.sqrt(n_paths)
         dev = abs(w.mean() - 1.0)
         ok = ok and dev <= 3.0 * se
@@ -141,8 +141,7 @@ def test_criterion_03_ou_moments():
         params = sd.OuParams(mu=Tensor(np.full(n_paths, mu)),
                              sigma=Tensor(np.full(n_paths, sigma)),
                              horizon=horizon, n_steps=n_steps)
-        path = sd.euler_maruyama(params, Tensor(np.full(n_paths, z0v)), rng)
-        term = path.terminal.data
+        term = sd.euler_maruyama(params, Tensor(np.full(n_paths, z0v)), rng)[0].data
         emp_mean, emp_var = term.mean(), term.var(ddof=1)
         se_mean = term.std(ddof=1) / math.sqrt(n_paths)
         se_var = emp_var * math.sqrt(2.0 / (n_paths - 1))

@@ -382,13 +382,10 @@ def test_trace_is_topologically_ordered():
 
 
 def _ou_path(mu, sigma, z0):
-    path = euler_maruyama(OuParams(mu, sigma), z0, np.random.default_rng(0))
-    extras = {f"eps{i}": eps for i, eps in enumerate(path.increments)}
-    extras.update({f"z{i}": z.data for i, z in enumerate(path.states[1:-1], 1)})
-    return path.terminal, extras
+    z_t, log_w = euler_maruyama(OuParams(mu, sigma), z0, np.random.default_rng(0))
+    return z_t, {"log_w": log_w}
 
 
-_EPS = {f"eps{i}" for i in range(8)}
 _CONV = [(2, 3, 4, 5), (4, 3, 3, 3), (4,)]
 # op: (function, operand shapes, the operands that need a gradient, the
 # values that the tape keeps once the forward code drops every tensor)
@@ -425,7 +422,8 @@ _SAVES = {
     "conv2d, w only": (conv2d, _CONV[:2], "b", {"a"}),
     "log": (Tensor.log, [(3, 4)], "a", {"a"}),
     "square": (Tensor.square, [(3, 4)], "a", {"a"}),
-    "ou path": (_ou_path, [(2, 3), (2, 3), (2, 3)], "abc", _EPS),
+    # no increment and no state: the closure keeps one array (tested below)
+    "ou path": (_ou_path, [(2, 3), (2, 3), (2, 3)], "abc", set()),
 }
 
 
@@ -443,6 +441,18 @@ def test_each_closure_keeps_only_what_its_math_reads(op):
     del operands, out, extras, values
     assert {name for name, r in refs.items() if r() is not None} == kept
     backward(loss)  # the kept values are all the walk reads
+
+
+@pytest.mark.parametrize("drifted", [True, False])
+@pytest.mark.parametrize("n_steps", [1, 8])
+def test_ou_closure_keeps_one_array_of_the_broadcast_shape(n_steps, drifted):
+    rng = np.random.default_rng(0)
+    mu = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    sigma = Tensor(rng.uniform(0.5, 1.5, size=(2, 1)), requires_grad=True)
+    z0 = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    z_t, _ = euler_maruyama(OuParams(mu, sigma, n_steps=n_steps), z0, rng, drifted)
+    cells = [c.cell_contents for c in z_t._node.backward.__closure__]
+    assert [a.shape for a in cells if isinstance(a, np.ndarray)] == [(2, 3)]
 
 
 def test_concurrent_backward_keeps_grads_per_thread():

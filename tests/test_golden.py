@@ -82,7 +82,7 @@ PINS = {
         "posterior_mean": "1e3f0b30100cbfec2a611d6a32f9bad40e3fbd50a5828d183354f9ab3f4cf606",
     },
     "ver2": {
-        "ckpt": "fdb6d89f739cce02c097d3b02f845cdac7b3953b8efff4cdcd85332e3e6a736b",
+        "ckpt": "9817a2aa3466f607014e494d3070572dc2985a3c07a36694ec5cd6ff44f9a8f7",
         "history": [
             ("epoch=0 dice_val=0.003289473684210526"
              " recon=1.659875543966078 kl_y=20455.689310387465"
@@ -93,19 +93,19 @@ PINS = {
              " kl_x=24575.99975488786 kl_m=4104.384213009481"
              " loss=1202.0814476837004"),
         ],
-        "posterior_mean": "60228246b5c460a23fea289c3d3ee5dc7899302d854ba8277f005623dbfb616e",
+        "posterior_mean": "8c57a9c739f95b65ff04b43cb6e93f7ec9a707e2d0acb7ceca7150de15ee9add",
     },
     "ver3": {
-        "ckpt": "65e7d8d8d1963874b49e842d50807159ecbb4d17c49c031245099c817bf3aebf",
+        "ckpt": "c36cfca9bddcdb1d8aea79ea7502cf19d23d54d0d832b21d140517b869071fdd",
         "history": [
             ("epoch=0 dice_val=0.3623569261603902"
-             " recon=1.662245612249399 kl_y=0.0 kl_z=3.0165780008953917"
+             " recon=1.662245612249399 kl_y=0.0 kl_z=3.016578000895393"
              " kl_x=0.0 kl_m=0.0 loss=1.735892536099384"),
             ("epoch=1 dice_val=0.34241987462401796"
-             " recon=1.6632559097514903 kl_y=0.0 kl_z=2.6229857977618614"
+             " recon=1.6632559097514903 kl_y=0.0 kl_z=2.622985797761864"
              " kl_x=0.0 kl_m=0.0 loss=1.7272936489546604"),
         ],
-        "posterior_mean": "f7e78729c76312d400169bc014b5b8cd0d9769e84d9b0d3b4acd1d06a1eda06b",
+        "posterior_mean": "d982c1de7fe0b0e96002d84b754314e60d5b758dccb56d8701a90a815235f31e",
     },
     "ver4": {
         "ckpt": "4ef8670a1bc0d982ca2df38335a6e43240f30af9079c8bfefb73ab6e1fa8fa2f",
@@ -123,7 +123,7 @@ PINS = {
         "posterior_mean": "f1b6add6f6c330d247924d24ca311e87c2ef03d44811085843ed0aa4f446deab",
     },
     "ver5": {
-        "ckpt": "28c408db5a8ab37c26af947f0469c700dd5c36320f58bfd016732723c239be3d",
+        "ckpt": "3c91b7a833cb6f9f86a3fcd87720e955ff37288856ffb83e6318ff9414b22bdd",
         "history": [
             ("epoch=0 dice_val=0.0 recon=1.6379963755438058"
              " kl_y=20453.1951431139 kl_z=31.98437980554497"
@@ -134,7 +134,7 @@ PINS = {
              " kl_x=24575.999754868633 kl_m=4103.918425277106"
              " flow_kl=0.0003465150534906018 loss=1202.2033048423975"),
         ],
-        "posterior_mean": "037f498b3cd37779379c2ab05caadd546cadfdce72e8fe0b18d125a82e9298d5",
+        "posterior_mean": "2b00082be379014d7c949ddea6ce2c7f99cf4f435c87f13b90f5f14216b3a403",
     },
 }
 

@@ -817,7 +817,8 @@ def test_evaluate_peak_memory_is_about_one_image():
 
 
 def test_tape_size_does_not_grow_with_sde_steps(monkeypatch):
-    # Each OU path is one node, however many Euler-Maruyama steps it takes.
+    # Each OU path is one node, however many Euler-Maruyama steps it takes,
+    # and its closure keeps one array.
     roots = []
     real_backward = pl.backward
     monkeypatch.setattr(pl, "backward",
@@ -829,7 +830,12 @@ def test_tape_size_does_not_grow_with_sde_steps(monkeypatch):
         model = pl.Model(cfg)
         opt = pl.Adam(model.named_params(), cfg.learning_rate)
         pl.train_step(samples, model, opt, np.random.default_rng(0))
-        op_nodes.append(sum(n.backward is not None for n in dc.trace(roots[-1])))
+        nodes = dc.trace(roots[-1])
+        op_nodes.append(sum(n.backward is not None for n in nodes))
+        kept = [sum(isinstance(c.cell_contents, np.ndarray) for c in n.backward.__closure__)
+                for n in nodes
+                if n.backward is not None and n.backward.__module__ == "flowseg.sde"]
+        assert kept and set(kept) == {1}, kept
     assert op_nodes[0] == op_nodes[1], op_nodes
 
 
@@ -874,7 +880,8 @@ def test_train_step_peak_memory_guard():
     # closure a padded input, at 214 MiB while each bias add before a tanh
     # kept its sum, at 173 MiB while each conv output stayed on the tape for
     # its bias add to name, at 121.5 MiB while each node kept its parents'
-    # values, and at 85.5 MiB since each closure keeps only what it reads.
+    # values, at 85.5 MiB while each OU path's closure kept its Wiener
+    # increments, and at 78.5 MiB since it keeps their Horner sum alone.
     cfg = pl.ModelConfig()
     samples = _toy_samples(8, 64, 64)
     model = pl.Model(cfg)
@@ -885,7 +892,7 @@ def test_train_step_peak_memory_guard():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 95 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 87 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- checkpoints -------------------------------------------------------------------------

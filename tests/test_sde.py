@@ -7,61 +7,52 @@ import pytest
 
 from flowseg import sde
 from flowseg.diffcore import DomainError, Tensor, backward, grad_check
-from flowseg.sde import OuParams, euler_maruyama, girsanov_log_weight_field, \
-    ou_analytic_moments, sde_girsanov_sample_field
+from flowseg.sde import OuParams, euler_maruyama, ou_analytic_moments, \
+    sde_girsanov_sample_field
 
 
-def replay(path, params):
-    """Recompute the terminal state from the recorded increments."""
-    z = path.states[0].data
-    for eps in path.increments:
-        step = params.sigma.data * eps
-        if path.drifted:
-            step = (params.mu.data - z) * path.dt + step
+def replay(params, z0, seed, drifted=True):
+    """Z_T and the log weight of a path, redrawn in a plain loop from a
+    fresh generator with the sampler's seed, in the sampler's order."""
+    rng = np.random.default_rng(seed)
+    mu, sigma, dt = params.mu.data, params.sigma.data, params.dt
+    z, log_w = z0, 0.0
+    for _ in range(params.n_steps):
+        eps = rng.standard_normal(z.shape) * math.sqrt(dt)
+        lam = (mu - z) / sigma
+        log_w = log_w + (-0.5 * lam * lam * dt + lam * eps)
+        step = sigma * eps
+        if drifted:
+            step = (mu - z) * dt + step
         z = z + step
-    return z
-
-
-def test_zero_sigma_reduces_to_ode():
-    # discrete ODE limit: Z_N = mu + (z0 - mu) (1 - dt)^N
-    params = OuParams(mu=Tensor([2.0]), sigma=Tensor([0.0]), horizon=1.0, n_steps=8)
-    path = euler_maruyama(params, Tensor([0.0]), np.random.default_rng(0))
-    expected = 2.0 + (0.0 - 2.0) * (1.0 - 0.125) ** 8
-    np.testing.assert_allclose(path.terminal.data, [expected], atol=1e-12)
-
-
-def test_fixed_point_stays_put():
-    params = OuParams(mu=Tensor([1.5]), sigma=Tensor([0.0]), horizon=1.0, n_steps=16)
-    path = euler_maruyama(params, Tensor([1.5]), np.random.default_rng(0))
-    for state in path.states:
-        np.testing.assert_allclose(state.data, [1.5], atol=1e-14)
+    return z, log_w
 
 
 def test_replay_reproduces_terminal_state():
     rng = np.random.default_rng(3)
     params = OuParams(mu=Tensor(rng.normal(size=(4, 4))),
                       sigma=Tensor(np.full((4, 4), 0.8)), n_steps=8)
-    path = euler_maruyama(params, Tensor(rng.normal(size=(4, 4))), rng)
-    np.testing.assert_array_equal(replay(path, params), path.terminal.data)
+    z0 = rng.normal(size=(4, 4))
+    for drifted in (True, False):
+        z_t, log_w = euler_maruyama(params, Tensor(z0), np.random.default_rng(4), drifted)
+        z_ref, log_w_ref = replay(params, z0, 4, drifted)
+        np.testing.assert_array_equal(z_t.data, z_ref)
+        np.testing.assert_array_equal(log_w, log_w_ref)
 
 
 def test_one_step_weight_hand_computed():
     params = OuParams(mu=Tensor([2.0]), sigma=Tensor([0.5]), horizon=1.0, n_steps=1)
-    rng = np.random.default_rng(7)
-    z0 = Tensor([0.3])
-    path = euler_maruyama(params, z0, rng)
-    eps = path.increments[0][0]
+    _, log_w = euler_maruyama(params, Tensor([0.3]), np.random.default_rng(7))
+    eps = np.random.default_rng(7).standard_normal(1)[0]  # dt = 1
     lam = (2.0 - 0.3) / 0.5
     expected = -0.5 * lam * lam * 1.0 + lam * eps
-    assert girsanov_log_weight_field(path, params).sum() == pytest.approx(
-        expected, abs=1e-12)
+    assert log_w.sum() == pytest.approx(expected, abs=1e-12)
 
 
-def test_weight_requires_positive_sigma():
-    params = OuParams(mu=Tensor([0.0]), sigma=Tensor([0.0]), n_steps=2)
-    path = euler_maruyama(params, Tensor([0.0]), np.random.default_rng(0))
+@pytest.mark.parametrize("sigma", [0.0, -0.5])
+def test_weight_requires_positive_sigma(sigma):
     with pytest.raises(DomainError):
-        girsanov_log_weight_field(path, params)
+        OuParams(mu=Tensor([0.0, 1.0]), sigma=Tensor([1.0, sigma]), n_steps=2)
 
 
 @pytest.mark.parametrize("sigma,n_steps", [(1.0, 8), (0.5, 64)])
@@ -72,8 +63,8 @@ def test_martingale_property_driftless_paths(sigma, n_steps):
     params = OuParams(mu=Tensor(np.full(n_paths, 0.7)),
                       sigma=Tensor(np.full(n_paths, sigma)), n_steps=n_steps)
     z0 = Tensor(rng.standard_normal(n_paths))
-    path = euler_maruyama(params, z0, rng, drifted=False)
-    w = np.exp(girsanov_log_weight_field(path, params))
+    _, log_w = euler_maruyama(params, z0, rng, drifted=False)
+    w = np.exp(log_w)
     se = w.std(ddof=1) / math.sqrt(n_paths)
     assert abs(w.mean() - 1.0) <= 3.0 * se
 
@@ -85,8 +76,8 @@ def test_martingale_property_drifted_paths():
     rng = np.random.default_rng(99)
     params = OuParams(mu=Tensor(np.full(n_paths, 0.5)),
                       sigma=Tensor(np.ones(n_paths)), n_steps=8)
-    path = euler_maruyama(params, Tensor(rng.standard_normal(n_paths)), rng)
-    w = np.exp(girsanov_log_weight_field(path, params))
+    _, log_w = euler_maruyama(params, Tensor(rng.standard_normal(n_paths)), rng)
+    w = np.exp(log_w)
     se = w.std(ddof=1) / math.sqrt(n_paths)
     assert abs(w.mean() - 1.0) <= 3.0 * se
 
@@ -100,8 +91,7 @@ def test_terminal_moments_match_analytic_on_fine_grid():
     for n_steps in (64, 512):
         params = OuParams(mu=Tensor(np.zeros(n_paths)),
                           sigma=Tensor(np.ones(n_paths)), n_steps=n_steps)
-        path = euler_maruyama(params, Tensor(np.zeros(n_paths)), rng)
-        z = path.terminal.data
+        z = euler_maruyama(params, Tensor(np.zeros(n_paths)), rng)[0].data
         mean_a, var_a = ou_analytic_moments(
             OuParams(mu=Tensor([0.0]), sigma=Tensor([1.0]), n_steps=n_steps), [0.0], 1.0)
         se_mean = z.std(ddof=1) / math.sqrt(n_paths)
@@ -118,8 +108,7 @@ def test_moment_bias_shrinks_with_dt():
     for n_steps in (8, 16, 32):
         params = OuParams(mu=Tensor(np.full(n_paths, 1.0)),
                           sigma=Tensor(np.ones(n_paths)), n_steps=n_steps)
-        path = euler_maruyama(params, Tensor(np.zeros(n_paths)), rng)
-        z = path.terminal.data
+        z = euler_maruyama(params, Tensor(np.zeros(n_paths)), rng)[0].data
         mean_a = 1.0 + (0.0 - 1.0) * math.exp(-1.0)
         var_a = (1.0 - math.exp(-2.0)) / 2.0
         mean_bias.append(abs(z.mean() - mean_a))
@@ -135,8 +124,7 @@ def test_terminal_moments_at_coarse_grid_match_discrete_recursion():
     rng = np.random.default_rng(31)
     params = OuParams(mu=Tensor(np.full(n_paths, 1.0)),
                       sigma=Tensor(np.ones(n_paths)), n_steps=8)
-    path = euler_maruyama(params, Tensor(np.zeros(n_paths)), rng)
-    z = path.terminal.data
+    z = euler_maruyama(params, Tensor(np.zeros(n_paths)), rng)[0].data
     dt = 0.125
     mean_d = 1.0 + (0.0 - 1.0) * (1.0 - dt) ** 8
     var_d = (1.0 - (1.0 - dt) ** 16) / (2.0 - dt)
@@ -180,7 +168,7 @@ def test_gradient_flows_through_recursion():
 
 @pytest.mark.parametrize("drifted", [True, False])
 def test_path_node_gradient_matches_finite_differences(drifted):
-    # The path is one tape node whose closure runs the adjoint recursion;
+    # The path is one tape node whose closure has a closed-form backward;
     # mu is broadcast over rows, and the square makes the upstream gradient
     # depend on the state.
     rng = np.random.default_rng(8)
@@ -191,8 +179,8 @@ def test_path_node_gradient_matches_finite_differences(drifted):
 
     def loss(mu_t, sigma_t, z0_t):
         params = OuParams(mu=mu_t, sigma=sigma_t, n_steps=5)
-        path = euler_maruyama(params, z0_t, np.random.default_rng(9), drifted)
-        return (path.terminal * weights).square().sum()
+        z_t, _ = euler_maruyama(params, z0_t, np.random.default_rng(9), drifted)
+        return (z_t * weights).square().sum()
 
     errs = [grad_check(lambda t: loss(Tensor(mu), t, Tensor(z0)), Tensor(sigma)),
             grad_check(lambda t: loss(Tensor(mu), Tensor(sigma), t), Tensor(z0))]
@@ -214,8 +202,7 @@ def test_sample_propagates_gradients_to_params():
 
 def test_path_determinism_under_fixed_seed():
     params = OuParams(mu=Tensor(np.ones(5)), sigma=Tensor(np.full(5, 0.3)))
-    a = euler_maruyama(params, Tensor(np.zeros(5)), np.random.default_rng(77))
-    b = euler_maruyama(params, Tensor(np.zeros(5)), np.random.default_rng(77))
-    np.testing.assert_array_equal(a.terminal.data, b.terminal.data)
-    assert girsanov_log_weight_field(a, params).sum() == \
-        girsanov_log_weight_field(b, params).sum()
+    z_a, log_w_a = euler_maruyama(params, Tensor(np.zeros(5)), np.random.default_rng(77))
+    z_b, log_w_b = euler_maruyama(params, Tensor(np.zeros(5)), np.random.default_rng(77))
+    np.testing.assert_array_equal(z_a.data, z_b.data)
+    np.testing.assert_array_equal(log_w_a, log_w_b)
