@@ -13,6 +13,9 @@ view of the model (``Model.frozen``) and records no tape.
 
 import copy
 import math
+import os
+import pickle
+import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -289,10 +292,17 @@ class Model:
 
         A deep copy of a tensor shares its frozen value buffer, so the view
         copies no tensor.  None of its tensors requires grad, so an op on it
-        records no tape and keeps no backward closure.  A view is its own."""
-        if not any(p.requires_grad for p in self.params()):
+        records no tape and keeps no backward closure.  A view is its own,
+        known by its class, so asking again walks no tensor."""
+        if isinstance(self, _View):
             return self
-        return copy.deepcopy(self)
+        view = copy.deepcopy(self)
+        view.__class__ = _View
+        return view
+
+
+class _View(Model):
+    """What ``Model.frozen`` returns."""
 
 
 def _named_tensors(obj, path: str) -> list[tuple[str, Tensor]]:
@@ -556,9 +566,41 @@ def predict(image, model: Model) -> tuple[np.ndarray, np.ndarray]:
     return conf.argmax(axis=0), conf
 
 
+def _dice_scores(samples: list[Sample], view: Model) -> list[float]:
+    k = view.cfg.num_classes
+    return [float(np.mean([dice_score(predict(s, view)[0], s.mask, c)
+                           for c in range(1, k)])) for s in samples]
+
+
+def _fork_scorer(samples: list[Sample], view: Model):
+    """Fork a worker that pickles ``_dice_scores(samples, view)``, or what it
+    raised, into a pipe; return (pid, read end).  The worker leaves only by
+    ``os._exit``, never into its caller's frames."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            # Ctrl-C ends a worker at once; the caller raises it.
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            try:
+                reply = _dice_scores(samples, view)
+            except BaseException as exc:
+                reply = exc
+            with open(w, "wb") as out:
+                out.write(pickle.dumps(reply))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
 def evaluate(samples: list[Sample], model: Model) -> float:
     """Mean Dice over samples, averaged over the non-background classes;
-    ``predict`` scores them one at a time on one frozen view of the model."""
+    ``predict`` scores them one at a time on one frozen view of the model, in
+    one contiguous chunk per usable CPU: the first here, each other in a
+    forked worker.  The scores join in sample order, so the mean is the
+    serial one to the bit; a worker's exception is raised here."""
     if not samples:
         raise ValueError("evaluate needs a nonempty dataset")
     k = model.cfg.num_classes
@@ -566,11 +608,29 @@ def evaluate(samples: list[Sample], model: Model) -> float:
     if top >= k:
         raise ValueError(f"mask label {top} >= num_classes {k}")
     view = model.frozen()
-    scores = []
-    for s in samples:
-        labels, _ = predict(s, view)
-        scores.append(float(np.mean([dice_score(labels, s.mask, c)
-                                     for c in range(1, k)])))
+    n = min(len(os.sched_getaffinity(0)), len(samples))
+    cuts = [len(samples) * i // n for i in range(n + 1)]
+    workers = []  # (pid, pipe) of every worker not yet reaped
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            workers.append(_fork_scorer(samples[lo:hi], view))
+        scores = _dice_scores(samples[:cuts[1]], view)
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                reply = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            reply = pickle.loads(reply) if reply else ChildProcessError(
+                f"evaluate worker {pid} ended with status {status} and no reply")
+            if isinstance(reply, BaseException):
+                raise reply
+            scores += reply
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return float(np.mean(scores))
 
 

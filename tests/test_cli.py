@@ -563,6 +563,29 @@ def test_eval_writes_nothing_when_a_later_target_fails(work, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_eval_exits_4_on_a_numerical_failure_in_a_worker(work, tmp_path, capsys,
+                                                         monkeypatch):
+    # With two CPUs a forked worker scores the second half of each file; its
+    # NonFiniteError must reach main, and no worker may outlive the command.
+    real_predict, parent = pl.predict, os.getpid()
+
+    def predict(s, model):
+        if os.getpid() != parent:
+            raise NonFiniteError(f"injected in worker {os.getpid()}")
+        return real_predict(s, model)
+
+    monkeypatch.setattr(pl, "predict", predict)
+    monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "e.csv"
+    code = cli.main(["eval", "--ckpt", str(work["ckpt"]), "--out", str(out),
+                     str(work["c"])])
+    assert code == 4
+    assert "numerical failure: injected in worker" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_eval_rejects_a_ver1_checkpoint_with_appearance_sections(
         work, tmp_path, capsys):
     # ver1 and ver3 checkpoints written while every variant built the

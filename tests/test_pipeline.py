@@ -1,8 +1,10 @@
 """Pipeline tests: forward contract, toggles, training dynamics, checkpoints."""
 
 import copy
+import os
 import re
 import struct
+import time
 import tracemalloc
 import weakref
 import zlib
@@ -642,6 +644,126 @@ def test_evaluate_equals_mean_of_predict_dice():
     assert pl.evaluate(samples, model) == float(np.mean(per_image))
 
 
+def _cpus(monkeypatch, n):
+    """Make evaluate see n CPUs; returns the list of pids it forks."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(pl.os, "fork", fork)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_evaluate_on_workers_is_the_serial_mean_to_the_bit(monkeypatch, n, cpus):
+    model = pl.Model(_tiny_cfg(num_classes=3))
+    samples = _toy_samples(n, 16, 16, k=3, seed=n)
+    per_image = [np.mean([fd.dice_score(pl.predict(s, model)[0], s.mask, k)
+                          for k in (1, 2)]) for s in samples]
+    forked = _cpus(monkeypatch, cpus)
+    assert pl.evaluate(samples, model) == float(np.mean(per_image))
+    assert len(forked) == min(n, cpus) - 1
+    _assert_no_child_left()
+
+
+def _predict_failing_at(monkeypatch, sample, fail):
+    """Make predict call ``fail()`` for ``sample``."""
+    real_predict = pl.predict
+
+    def predict(s, model):
+        if s is sample:
+            fail()
+        return real_predict(s, model)
+
+    monkeypatch.setattr(pl, "predict", predict)
+
+
+@pytest.mark.parametrize("error", [dc.NonFiniteError, ValueError, KeyError])
+def test_a_worker_exception_is_raised_by_evaluate(monkeypatch, error):
+    samples = _toy_samples(4, 16, 16)
+
+    def fail():
+        raise error(f"injected in {os.getpid()}")
+
+    _predict_failing_at(monkeypatch, samples[3], fail)
+    forked = _cpus(monkeypatch, 2)
+    with pytest.raises(error) as info:
+        pl.evaluate(samples, pl.Model(_tiny_cfg()))
+    assert len(forked) == 1
+    assert info.value.args == (f"injected in {forked[0]}",)
+    _assert_no_child_left()
+
+
+def _unpicklable():
+    exc = RuntimeError("holds a lambda")
+    exc.hook = lambda: None
+    raise exc
+
+
+@pytest.mark.parametrize("fail, status", [(lambda: os._exit(7), 7),
+                                          (_unpicklable, 1)],
+                         ids=["exit", "unpicklable"])
+def test_a_worker_that_dies_without_a_reply_is_a_child_process_error(
+        monkeypatch, fail, status):
+    # A worker that cannot send its exception still leaves by os._exit(1).
+    samples = _toy_samples(4, 16, 16)
+    _predict_failing_at(monkeypatch, samples[2], fail)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ChildProcessError,
+                       match=f"ended with status {status} and no reply"):
+        pl.evaluate(samples, pl.Model(_tiny_cfg()))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_error_in_the_caller_stops_every_worker(monkeypatch, error):
+    # The workers would sleep for a minute; evaluate must kill and reap them.
+    samples = _toy_samples(6, 16, 16)
+    real_predict, parent = pl.predict, os.getpid()
+
+    def predict(s, model):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif s is samples[1]:
+            raise error("injected")
+        return real_predict(s, model)
+
+    monkeypatch.setattr(pl, "predict", predict)
+    forked = _cpus(monkeypatch, 3)
+    start = time.perf_counter()
+    with pytest.raises(error, match="injected"):
+        pl.evaluate(samples, pl.Model(_tiny_cfg()))
+    assert time.perf_counter() - start < 30
+    assert len(forked) == 2
+    _assert_no_child_left()
+
+
+def test_scoring_walks_no_tensor_list(monkeypatch):
+    # predict asks each image's view for its frozen view; a view answers by
+    # its class, without listing its tensors.
+    walks = []
+    real_params = pl.Model.params
+    monkeypatch.setattr(pl.Model, "params",
+                        lambda self: walks.append(1) or real_params(self))
+    _cpus(monkeypatch, 1)
+    model = pl.Model(_tiny_cfg())
+    pl.evaluate(_toy_samples(5, 16, 16), model)
+    pl.evaluate(_toy_samples(5, 16, 16), model.frozen())
+    assert walks == []
+
+
 def test_evaluate_rejects_a_mask_label_beyond_the_classes():
     samples = _toy_samples(3, 16, 16)
     samples[2].mask[0, 0] = 2
@@ -796,10 +918,13 @@ def test_posterior_mean_peak_memory_guard():
     assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_evaluate_peak_memory_is_about_one_image():
+def test_evaluate_peak_memory_is_about_one_image(monkeypatch):
     # Scoring 16 images one at a time on one frozen view peaks at about one
     # image's activations: 3.08 against 2.95 MiB of traced allocations.  A
-    # chunk of batch_size (8) images at once peaks at 20.8 MiB.
+    # chunk of batch_size (8) images at once peaks at 20.8 MiB.  tracemalloc
+    # sees only this process, so evaluate runs on one CPU here: with forked
+    # workers it would measure only the caller's share of the images.
+    _cpus(monkeypatch, 1)
     model = pl.Model(pl.ModelConfig())
     samples = _toy_samples(16, 64, 64)
     peaks = []
