@@ -202,6 +202,9 @@ def _train_common(args, cfg: dict, explicit: set, ckpt=None):
 
 def cmd_train(args) -> int:
     cfg, explicit = effective_config(args)
+    if cfg["run"] in ("", ".", "..") or Path(cfg["run"]).name != cfg["run"]:
+        raise ConfigError(
+            f"run must name one directory inside --out, got {cfg['run']!r}")
     ckpt = checkpoint_load(args.resume) if args.resume else None
     cfg, _, train_samples, val_samples = _train_common(args, cfg, explicit, ckpt)
     model_cfg = config_from_items(cfg)

@@ -18,6 +18,7 @@ import pickle
 import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -714,9 +715,11 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
 # -- checkpoints ------------------------------------------------------------------------
 
 def _unpack_config(body: Reader) -> ModelConfig:
-    """Read the config block, which is ``config_text`` of the config's items."""
+    """Read the config block, which must be ``config_text`` of the config it
+    parses to: no key twice, none out of order, every value in its own form."""
     defaults = config_items(ModelConfig())
-    lines = [line.partition(" = ") for line in body.take_str().splitlines()]
+    text = body.take_str()
+    lines = [line.partition(" = ") for line in text.splitlines()]
     items = {name: raw for name, _, raw in lines}
     keys = defaults.keys()
     unknown, missing = sorted(items.keys() - keys), sorted(keys - items.keys())
@@ -724,10 +727,17 @@ def _unpack_config(body: Reader) -> ModelConfig:
         raise FormatError(body.path, "config block does not match this build: "
                           f"unknown keys {unknown}, missing keys {missing}")
     try:
-        return config_from_items({name: parse_value(defaults[name], raw)
-                                  for name, raw in items.items()})
+        cfg = config_from_items({name: parse_value(defaults[name], raw)
+                                 for name, raw in items.items()})
     except ValueError as exc:
         raise FormatError(body.path, f"config block: {exc}") from exc
+    written = config_text(config_items(cfg))
+    if text != written:
+        odd = next(a for a, b in zip_longest(text.splitlines(True),
+                                             written.splitlines(True)) if a != b)
+        raise FormatError(body.path, "config block is not the text of the config "
+                          f"it parses to, from line {odd!r}")
+    return cfg
 
 
 def _pack_section(out: Writer, name: str, arr: np.ndarray) -> None:
@@ -752,17 +762,22 @@ def _unpack_section(body: Reader) -> tuple[str, np.ndarray]:
     return name, data.reshape(shape).copy()
 
 
+def _sections(model: Model, opt_state: dict | None, epoch: int) -> list:
+    """(name, array) pairs in file order: the parameters; with optimizer state,
+    both moments of each parameter in name order and ``opt.t``; then ``epoch``."""
+    sections = [(name, p.data) for name, p in model.named_params()]
+    if opt_state is not None:
+        for name in sorted(opt_state["m"]):
+            sections += [(f"opt.{k}.{name}", opt_state[k][name]) for k in ("m", "v")]
+        sections.append(("opt.t", np.array([float(opt_state["t"])])))
+    return sections + [("epoch", np.array([float(epoch)]))]
+
+
 def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
                     epoch: int = 0) -> None:
-    """Self-describing snapshot: config block and named f64 sections, sealed."""
-    sections = [(name, p.data) for name, p in model.named_params()]
-    if opt is not None:
-        for name in sorted(opt.m):
-            sections.append((f"opt.m.{name}", opt.m[name]))
-            sections.append((f"opt.v.{name}", opt.v[name]))
-        sections.append(("opt.t", np.array(float(opt.t))))
-    sections.append(("epoch", np.array(float(epoch))))
-
+    """Self-describing snapshot: config block and the ``_sections``, sealed."""
+    state = None if opt is None else {"t": opt.t, "m": opt.m, "v": opt.v}
+    sections = _sections(model, state, epoch)
     out = Writer(CHECKPOINT_MAGIC)
     out.put_str(config_text(config_items(model.cfg)))
     out.put("<I", len(sections))
@@ -772,57 +787,37 @@ def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
 
 
 def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
-    """Rebuild (model, optimizer state, epoch) from a checkpoint file.
-
-    Every section must be finite.  Optimizer state, when stored, must hold
-    both moments of every parameter, each of its parameter's shape.
-    """
+    """Rebuild (model, optimizer state, epoch) from a file that holds exactly the
+    ``_sections`` of its config's model, each finite and of its shape."""
     body = unseal(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
     cfg = _unpack_config(body)
     (n_sections,) = body.take("<I")
     arrays = dict(_unpack_section(body) for _ in range(n_sections))
     if body.remaining:
         raise FormatError(path, f"{body.remaining} trailing bytes after sections")
-    nonfinite = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
-    if nonfinite:
-        raise FormatError(path, f"non-finite values in sections: {nonfinite[:4]}")
-    counts = [n for n in ("epoch", "opt.t") if n in arrays and (
-        arrays[n].size != 1 or arrays[n].item() < 0 or not arrays[n].item().is_integer())]
-    if counts:
-        raise FormatError(path, f"sections {counts} must each hold one whole number >= 0")
-
+    if len(arrays) < n_sections:
+        raise FormatError(path, f"{n_sections} sections, {len(arrays)} distinct names")
     model = Model(cfg)
-    named = model.named_params()
-    missing = [name for name, _ in named if name not in arrays]
-    if missing:
-        raise FormatError(path, f"missing parameters: {missing[:4]}")
-    for name, p in named:
-        arr = arrays.pop(name)
-        if arr.shape != p.data.shape:
-            raise FormatError(
-                path, f"parameter {name}: stored shape {arr.shape} != model "
-                f"shape {p.data.shape}")
-        p.assign(arr)
-
-    epoch = int(arrays.pop("epoch", np.array(0.0)).item())
-    opt_state = None
-    if "opt.t" in arrays:
-        opt_state = {"t": int(arrays.pop("opt.t").item())}
-        for moment in ("m", "v"):
-            opt_state[moment] = {name: arrays.pop(f"opt.{moment}.{name}")
-                                 for name, _ in named
-                                 if f"opt.{moment}.{name}" in arrays}
-        missing = [name for name, _ in named
-                   if name not in opt_state["m"] or name not in opt_state["v"]]
-        if missing:
-            raise FormatError(
-                path, f"optimizer state is missing moments for: {missing}")
-        misshapen = [name for name, p in named
-                     if opt_state["m"][name].shape != p.data.shape
-                     or opt_state["v"][name].shape != p.data.shape]
-        if misshapen:
-            raise FormatError(path, "optimizer moments differ in shape from "
-                              f"their parameters for: {misshapen}")
-    if arrays:
-        raise FormatError(path, f"unrecognized sections: {sorted(arrays)[:4]}")
-    return model, opt_state, epoch
+    params = dict(model.named_params())
+    # The parameters stand in for their moments: only their shapes are kept.
+    stand_in = {"t": 0, "m": params, "v": params} if "opt.t" in arrays else None
+    expected = {name: arr.shape for name, arr in _sections(model, stand_in, 0)}
+    faults: dict[str, list[str]] = {}
+    for name in {**expected, **arrays}:
+        want, got = expected.get(name), arrays.get(name)
+        fault = ("missing sections: {}" if got is None else
+                 "unrecognized sections: {}" if want is None else
+                 "misshapen sections: {}" if got.shape != want else
+                 "non-finite values in sections: {}" if not np.isfinite(got).all() else
+                 "sections {} must each hold one whole number >= 0"
+                 if name in ("epoch", "opt.t") and (got[0] < 0 or got[0] % 1) else None)
+        if fault:
+            faults.setdefault(fault, []).append(name)
+    if faults:
+        raise FormatError(path, "; ".join(f.format(n[:4]) for f, n in faults.items()))
+    for name, p in params.items():
+        p.assign(arrays.pop(name))
+    opt_state = None if stand_in is None else {
+        "t": int(arrays["opt.t"].item()),
+        **{k: {n: arrays[f"opt.{k}.{n}"] for n in params} for k in ("m", "v")}}
+    return model, opt_state, int(arrays["epoch"].item())

@@ -357,8 +357,22 @@ def test_train_resume_rejects_misshapen_moment(work, tmp_path, capsys, moment):
                      "--set", "epochs=2", "--resume", str(path)])
     assert code == 3
     err = capsys.readouterr().err
-    assert f"{path}: " in err and "'seg.enc0a.w'" in err
+    assert f"{path}: " in err and f"'opt.{moment}.seg.enc0a.w'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("run", ["", ".", "..", "a/b", "../escaped", "ABS"])
+def test_train_run_must_name_one_directory_inside_out(work, tmp_path, capsys, run):
+    # run=/elsewhere once wrote outside --out, and run= into --out itself.
+    if run == "ABS":
+        run = str(tmp_path / "elsewhere")
+    out = tmp_path / "out"
+    code = cli.main(["train", "--data", str(work["a"]), "--out", str(out),
+                     "--set", f"run={run}"] + FAST)
+    assert code == 2
+    assert f"run must name one directory inside --out, got {run!r}" in (
+        capsys.readouterr().err)
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_train_ver1_metrics_have_no_flow_kl(work, tmp_path):
@@ -966,6 +980,48 @@ def test_checkpoint_config_block_is_the_echo_text(work):
         assert block == model_lines
 
 
+def _with_config_block(raw: bytes, edit) -> bytes:
+    """A checkpoint body (no CRC) whose config block is ``edit(block)``."""
+    (length,) = struct.unpack_from("<H", raw, 6)
+    block = edit(raw[8:8 + length].decode()).encode()
+    return raw[:6] + struct.pack("<H", len(block)) + block + raw[8 + length:]
+
+
+@pytest.mark.parametrize("edit, line", [
+    # A second line for a key once loaded silently, the later value winning.
+    (lambda b: b.replace("tau = 1.0\n", "tau = 1.0\ntau = 0.5\n"), "tau = 1.0"),
+    (lambda b: b.replace("tau = 1.0\n", "tau = 1.0\ntau = 1.0\n"), "tau = 1.0"),
+    (lambda b: b.replace("tau = 1.0\n", "tau = 1.00\n"), "tau = 1.00"),
+    (lambda b: "tau = 1.0\n" + b.replace("tau = 1.0\n", ""), "tau = 1.0"),
+], ids=["key_twice", "line_twice", "value_form", "out_of_order"])
+def test_config_block_that_is_not_its_configs_text_exits_3(work, tmp_path, capsys,
+                                                           edit, line):
+    raw = work["ckpt"].read_bytes()[:-4]
+    bad = _sealed(_with_config_block(raw, edit), tmp_path / "block.dbfc")
+    for err in _inspect_and_eval_exit_3(work, tmp_path, capsys, ckpt=bad):
+        assert f"error: {bad}: config block is not the text of the config" in err
+        assert f"from line {line + chr(10)!r}" in err
+
+
+@pytest.mark.parametrize("copies", [0, 2])
+def test_checkpoint_without_one_epoch_section_exits_3(work, tmp_path, capsys,
+                                                      copies):
+    # The saver writes epoch once.  A file without it once loaded as epoch 0,
+    # and one with two epoch sections as the later one.
+    raw = work["ckpt"].read_bytes()[:-4]
+    epoch = b"\x05\x00epoch\x01" + struct.pack("<Id", 1, 1.0)
+    assert raw.endswith(epoch)
+    at = 8 + struct.unpack_from("<H", raw, 6)[0]  # the section count
+    (count,) = struct.unpack_from("<I", raw, at)
+    body = (raw[:at] + struct.pack("<I", count - 1 + copies)
+            + raw[at + 4:-len(epoch)] + epoch * copies)
+    bad = _sealed(body, tmp_path / "epochs.dbfc")
+    fault = ("missing sections: ['epoch']" if copies == 0 else
+             f"{count + 1} sections, {count} distinct names")
+    for err in _inspect_and_eval_exit_3(work, tmp_path, capsys, ckpt=bad):
+        assert f"error: {bad}: {fault}" in err
+
+
 def test_out_of_range_config_block_exits_3_naming_the_file(work, tmp_path, capsys):
     model, _, _ = pl.checkpoint_load(work["ckpt"])
     object.__setattr__(model.cfg, "tau", float("nan"))
@@ -1115,7 +1171,7 @@ def test_checkpoint_with_reversal_numbered_layers_exits_3(tmp_path, capsys):
     path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
     assert cli.main(["inspect", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "missing parameters" in err
+    assert f"error: {path}: missing sections: " in err
     for name in ("w1", "b1", "w2", "b2"):
         assert f"'flow.layers.1.{name}'" in err
 

@@ -9,6 +9,9 @@ with ``channels=4``, ``batch_size=4``, 2 epochs and seed 7.  The pins are:
 - a run fit for 1 epoch and resumed to 2, whose ``ckpt-last.dbfc`` must hash
   to the unbroken run's pin.
 
+``PYTHONPATH=src python tests/test_golden.py`` prints the ``PINS`` dict of
+the current code, to paste over the one below when re-pinning.
+
 Re-pin rule: a change that alters numerics on purpose re-pins in the same
 change.  Its CHANGES.md entry says which pins moved and why, and gives the
 largest relative parameter difference against the parent.  Never re-pin to
@@ -17,6 +20,9 @@ get past a change that nobody has explained.
 
 import functools
 import hashlib
+import pprint
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,3 +175,9 @@ def test_posterior_mean_pin(runs, version):
 @pytest.mark.parametrize("version", VERSIONS)
 def test_resume_hashes_to_the_unbroken_pin(tmp_path, version):
     assert resumed_ckpt_sha(version, tmp_path) == PINS[version]["ckpt"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        pprint.pprint({version: golden_run(version, Path(tmp) / version)
+                       for version in VERSIONS}, width=88, sort_dicts=False)

@@ -262,8 +262,8 @@ def test_checkpoint_load_rejects_missing_moments(tmp_path):
         cut = raw.replace(key, key[:-1] + b"q")
         bad = tmp_path / f"no-{moment}.dbfc"
         bad.write_bytes(cut + struct.pack("<I", zlib.crc32(cut)))
-        with pytest.raises(fd.FormatError,
-                           match=r"missing moments.*'seg\.enc0a\.w'") as exc:
+        with pytest.raises(fd.FormatError, match=(
+                rf"missing sections: \['opt\.{moment}\.seg\.enc0a\.w'\]")) as exc:
             pl.checkpoint_load(bad)
         assert str(exc.value).startswith(f"{bad}: ")
     # Moments of a parameter the model lacks are not dropped without a word.
@@ -1043,6 +1043,32 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     opt2.load_state(opt_state)
     pl.checkpoint_save(model2, p2, opt=opt2, epoch=7)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("with_opt", [False, True], ids=["no_opt", "opt"])
+@pytest.mark.parametrize("version", sorted(pl.VERSION_TOGGLES))
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path, version, with_opt):
+    # Every variant's section list, with and without Adam moments, reads back
+    # into a model and optimizer that write the same bytes again.
+    model = pl.Model(pl.config_for_version(_tiny_cfg(), version))
+    opt = None
+    if with_opt:
+        opt = pl.Adam(model.named_params(), lr=0.1)
+        opt.t = 3
+        rng = np.random.default_rng(5)
+        for name, p in model.named_params():
+            opt.m[name] = rng.normal(size=p.shape)
+            opt.v[name] = rng.random(p.shape)
+    first, second = tmp_path / "a.dbfc", tmp_path / "b.dbfc"
+    pl.checkpoint_save(model, first, opt=opt, epoch=5)
+    loaded, state, epoch = pl.checkpoint_load(first)
+    assert epoch == 5 and (state is None) == (not with_opt)
+    reopt = None
+    if with_opt:
+        reopt = pl.Adam(loaded.named_params(), lr=0.1)
+        reopt.load_state(state)
+    pl.checkpoint_save(loaded, second, opt=reopt, epoch=epoch)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_checkpoint_preserves_custom_hyperpriors(tmp_path):
