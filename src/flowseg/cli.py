@@ -26,7 +26,7 @@ from .container import FormatError, atomic_write, sniff
 from .data import (DOMAINS, dataset_load, dataset_meta, dataset_save,
                    gen_dataset, pgm_write)
 from .diffcore import NonFiniteError
-from .pipeline import (ModelConfig, VERSION_TOGGLES, checkpoint_load,
+from .pipeline import (TOGGLES, ModelConfig, VERSION_TOGGLES, checkpoint_load,
                        config_from_items, config_items, config_text, evaluate,
                        fit, format_value, forward, parse_value, resumed_config)
 
@@ -40,7 +40,6 @@ class ConfigError(ValueError):
 # Every key a config may set, with its default: the model's, then the CLI's.
 _DEFAULTS = {**config_items(ModelConfig()),
              "domain": "A", "n": 200, "val_frac": 0.2, "run": "run"}
-_ALLOWED_KEYS = set(_DEFAULTS)
 
 
 def default_config() -> dict:
@@ -61,7 +60,7 @@ def _parse_setting(text: str, where: str) -> tuple[str, object]:
     key = key.strip()
     if not eq or not key:
         raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
-    if key not in _ALLOWED_KEYS:
+    if key not in _DEFAULTS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     return key, _parse_value(key, raw)
 
@@ -159,16 +158,12 @@ def cmd_gen_data(args) -> int:
     if name not in DOMAINS:
         raise ConfigError(
             f"unknown domain {name!r}; available: {', '.join(sorted(DOMAINS))}")
-    domain = DOMAINS[name]
-    overrides = {}
-    for field in ("noise_sigma", "bias_amplitude", "contrast_gamma"):
-        value = getattr(args, field)
-        if value is not None:
-            overrides[field] = value
+    overrides = {field: getattr(args, field) for field in
+                 ("noise_sigma", "bias_amplitude", "contrast_gamma")
+                 if getattr(args, field) is not None}
     if "seed" in explicit:
         overrides["seed"] = cfg["seed"]
-    if overrides:
-        domain = replace(domain, **overrides)
+    domain = replace(DOMAINS[name], **overrides)
     # A dataset's geometry is the model's, so the model config checks it.
     image_size = config_from_items(cfg).image_size
     samples = gen_dataset(domain, cfg["n"], image_size=image_size)
@@ -249,8 +244,7 @@ def _start_fit(args, out: Path, version: str) -> subprocess.Popen:
     """``flowseg train`` of one version as a child with one BLAS thread, its
     output in ``<out>/<version>.log``.  The directory holding this package
     goes first on the child's path, so it runs this code whatever its cwd."""
-    toggles = zip(("nf_posterior", "ncvi", "sde_girsanov"),
-                  VERSION_TOGGLES[version])
+    toggles = zip(TOGGLES, VERSION_TOGGLES[version])
     sets = [f"{k}={format_value(on)}" for k, on in toggles] + [f"run={version}"]
     argv = [sys.executable, "-m", "flowseg.cli", "train", "--data", args.data,
             "--config", str(out / "config.echo"), "--out", str(out),
@@ -315,8 +309,7 @@ def cmd_ablate(args) -> int:
             proc.kill()
             proc.wait()
 
-    header = (["version", "nf_posterior", "ncvi", "sde_girsanov"]
-              + [name for name, _ in eval_sets] + ["avg_targets"])
+    header = ["version", *TOGGLES, *(name for name, _ in eval_sets), "avg_targets"]
     rows: list[list] = []
     avg = {version: float(np.mean(d[1:])) for version, d in dices.items()}
     for version, toggles in sorted(VERSION_TOGGLES.items()):

@@ -4,11 +4,11 @@ The shape encoder's latent, and with NCVI the appearance encoder's latent
 that only the NCVI terms read, are sampled through the OU diffusion with a
 Girsanov weight (or by Gaussian reparameterization when that is off).  The
 shape latent drives a small U-shaped segmentation net whose logits the flow
-refines and Gumbel-Softmax discretizes during training.  Closed-form
-variational updates supply the KL penalties of the loss.  Evaluation
-(``posterior_mean``) takes every latent at its mean, so it runs only the
-shape stream and the U-Net and returns softmax(mu_z); it runs on a frozen
-view of the model (``Model.frozen``) and records no tape.
+refines and Gumbel-Softmax discretizes during training.  ``training_loss``,
+the objective, adds closed-form KL penalties and the flow KL to Dice + CE.
+Evaluation (``posterior_mean``) takes every latent at its mean, so it runs
+only the shape stream and the U-Net and returns softmax(mu_z); it runs on a
+frozen view of the model (``Model.frozen``) and records no tape.
 """
 
 import copy
@@ -32,10 +32,10 @@ from .flows import FlowStack, flow_push
 from .ncvi import (Hyperpriors, gaussian_kl_closed, kl_terms, mc_kl,
                    refresh_state)
 from .sde import OuParams, sde_girsanov_sample_field
-from .spatial import (dice_ce_loss_per_item, grad_sqnorm, gumbel_softmax,
-                      total_loss)
+from .spatial import dice_ce_loss_per_item, grad_sqnorm, gumbel_softmax
 
-# Toggle rows (nf_posterior, ncvi, sde_girsanov) for the five named variants.
+# The three component toggles, and their rows for the five named variants.
+TOGGLES = ("nf_posterior", "ncvi", "sde_girsanov")
 VERSION_TOGGLES = {
     "ver1": (False, False, False),
     "ver2": (False, True, True),
@@ -113,8 +113,7 @@ def config_for_version(cfg: ModelConfig, version: str) -> ModelConfig:
     if version not in VERSION_TOGGLES:
         raise ValueError(
             f"unknown version {version!r}; expected one of {sorted(VERSION_TOGGLES)}")
-    nf, ncvi, sde = VERSION_TOGGLES[version]
-    return replace(cfg, nf_posterior=nf, ncvi=ncvi, sde_girsanov=sde)
+    return replace(cfg, **dict(zip(TOGGLES, VERSION_TOGGLES[version])))
 
 
 def resumed_config(cfg: ModelConfig, epoch: int, epochs: int) -> ModelConfig:
@@ -323,10 +322,7 @@ def _named_tensors(obj, path: str) -> list[tuple[str, Tensor]]:
 @dataclass
 class PipelineOutputs:
     y_hat: Tensor
-    kl_y: Tensor
-    kl_z: Tensor
-    kl_x: Tensor
-    kl_m: Tensor
+    kls: dict[str, Tensor]  # the KL penalties by name, in loss order
     log_rn_weights: list[float]
 
 
@@ -441,23 +437,19 @@ def forward(images, model: Model, mode: str = "train",
             gsq_z = grad_sqnorm(mu_z)
             state = refresh_state(r.data, resp.data, gsq_x.data, gsq_z.data,
                                   sigma_x.data, sigma_z.data, cfg.hp)
-            kl_y, kl_z, kl_x, kl_m = kl_terms(
-                state, r, gsq_x, gsq_z, sigma_x, sigma_z, resp, mu_m, sigma_m,
-                cfg.hp)
+            kls = kl_terms(state, r, gsq_x, gsq_z, sigma_x, sigma_z, resp,
+                           mu_m, sigma_m, cfg.hp)
         else:
             # Plain-Gaussian baseline: the segmentation posterior is the
             # only latent with a prior penalty.  Penalizing the encoder
             # fields too at this loss weight drove their signal-to-noise to
             # zero, and the model degenerated into an unconditional shape
             # prior.
-            kl_y = Tensor(0.0)
-            kl_z = gaussian_kl_closed(mu_z, lv_z)
-            kl_x = Tensor(0.0)
-            kl_m = Tensor(0.0)
+            kls = (Tensor(0.0), gaussian_kl_closed(mu_z, lv_z), Tensor(0.0),
+                   Tensor(0.0))
 
-    return PipelineOutputs(
-        y_hat=y_hat, kl_y=kl_y, kl_z=kl_z, kl_x=kl_x, kl_m=kl_m,
-        log_rn_weights=[float(v) for v in log_w])
+    kls = dict(zip(("kl_y", "kl_z", "kl_x", "kl_m"), kls))
+    return PipelineOutputs(y_hat, kls, [float(v) for v in log_w])
 
 
 # -- optimizer ---------------------------------------------------------------------
@@ -520,25 +512,33 @@ def rn_weights(log_weights: list[float]) -> np.ndarray:
     return w / w.mean()
 
 
-def train_step(batch: list[Sample], model: Model, opt: Adam,
-               rng: np.random.Generator) -> dict[str, float]:
-    """Forward, loss, backward, one optimizer step; returns each loss term
-    by name in the order computed, their weighted total ``loss`` last."""
-    cfg = model.cfg
-    images, targets = batch_tensors(batch, cfg.num_classes)
-    b, _, h, w = images.shape
-    terms: dict[str, float] = {}
+@contextmanager
+def _terms_so_far(terms: dict[str, float]):
     try:
+        yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(
+            f"{exc}; terms so far: "
+            + ", ".join(f"{k}={v:.6g}" for k, v in terms.items())) from exc
+
+
+def training_loss(images, targets: Tensor, model: Model,
+                  rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
+    """The training objective and its terms by name, in the order computed:
+    ``recon``, the batch mean of each item's Dice + CE loss times its RN
+    weight; the KL penalties, weighted by lambda_bayes / (B*H*W); with NF and
+    NCVI on, ``flow_kl``, weighted by lambda_bayes; their total ``loss``."""
+    cfg = model.cfg
+    terms: dict[str, float] = {}
+    with _terms_so_far(terms):
         out = forward(images, model, "train", rng)
         per_item = dice_ce_loss_per_item(out.y_hat, targets)
         recon = (per_item * Tensor(rn_weights(out.log_rn_weights))).mean()
         terms["recon"] = recon.data.item()
-        for key, t in (("kl_y", out.kl_y), ("kl_z", out.kl_z),
-                       ("kl_x", out.kl_x), ("kl_m", out.kl_m)):
-            terms[key] = t.data.item()
-        n_elems = b * h * w
-        loss = total_loss(recon, [out.kl_y, out.kl_z, out.kl_x, out.kl_m],
-                          cfg.lambda_bayes, n_elems)
+        terms.update((key, t.data.item()) for key, t in out.kls.items())
+        kls = list(out.kls.values())
+        b, _, h, w = out.y_hat.shape
+        loss = recon + sum(kls[1:], kls[0]) * (cfg.lambda_bayes / (b * h * w))
         if cfg.nf_posterior and cfg.ncvi:
             # The flow KL is already a per-element quantity, so it enters at
             # the same normalized scale as the summed field KLs.
@@ -546,11 +546,17 @@ def train_step(batch: list[Sample], model: Model, opt: Adam,
             terms["flow_kl"] = flow_kl.data.item()
             loss = loss + flow_kl * cfg.lambda_bayes
         terms["loss"] = loss.data.item()
+    return loss, terms
+
+
+def train_step(batch: list[Sample], model: Model, opt: Adam,
+               rng: np.random.Generator) -> dict[str, float]:
+    """``training_loss`` of the batch, its gradient and one optimizer step;
+    returns the loss terms.  A ``NonFiniteError`` names the terms so far."""
+    loss, terms = training_loss(*batch_tensors(batch, model.cfg.num_classes),
+                                model, rng)
+    with _terms_so_far(terms):
         backward(loss)
-    except NonFiniteError as exc:
-        raise NonFiniteError(
-            f"{exc}; terms so far: "
-            + ", ".join(f"{k}={v:.6g}" for k, v in terms.items())) from exc
     opt.step()
     zero_grad(model.params())
     return terms
@@ -578,7 +584,12 @@ def _fork_scorer(samples: list[Sample], view: Model):
     raised, into a pipe; return (pid, read end).  The worker leaves only by
     ``os._exit``, never into its caller's frames."""
     r, w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
     if pid == 0:
         try:
             # Ctrl-C ends a worker at once; the caller raises it.
@@ -759,7 +770,7 @@ def _unpack_section(body: Reader) -> tuple[str, np.ndarray]:
     if count * 8 > body.remaining:
         raise FormatError(body.path, f"section {name!r}: shape {shape} overruns the body")
     data = np.frombuffer(body.take_bytes(count * 8), dtype="<f8")
-    return name, data.reshape(shape).copy()
+    return name, data.reshape(shape)  # read-only; assign and load_state copy
 
 
 def _sections(model: Model, opt_state: dict | None, epoch: int) -> list:

@@ -58,8 +58,3 @@ def dice_ce_loss_per_item(pred: Tensor, target: Tensor) -> Tensor:
     denom = pred.sum(axis=(2, 3)) + target.sum(axis=(2, 3))
     dice_k = (inter * 2.0 + _DICE_EPS) / (denom + _DICE_EPS)
     return ce + (1.0 - dice_k.mean(axis=1))
-
-
-def total_loss(recon: Tensor, kls: list[Tensor], lam: float, n: int) -> Tensor:
-    """recon + lam * (sum of KL terms, left to right) / n."""
-    return recon + sum(kls[1:], kls[0]) * (lam / n)

@@ -383,10 +383,8 @@ def test_criterion_07_autodiff():
     target_t = Tensor(target)
 
     def full_forward(images: Tensor) -> Tensor:
-        out = pl.forward(images, model, "train", np.random.default_rng(11))
-        recon = sp.dice_ce_loss_per_item(out.y_hat, target_t).mean()
-        return sp.total_loss(recon, [out.kl_y, out.kl_z, out.kl_x, out.kl_m],
-                             cfg.lambda_bayes, 64)
+        return pl.training_loss(images, target_t, model,
+                                np.random.default_rng(11))[0]
 
     err_input = dc.grad_check(full_forward, Tensor(img))
 

@@ -45,15 +45,22 @@ def _tiny_cfg(**overrides):
     return pl.ModelConfig(**base)
 
 
+def _perturbed_flow(model):
+    """Move the flow's zero-initialized output layers off zero, so that it is
+    not the identity and its MC KL is not near zero."""
+    if model.flow is not None:
+        for layer in model.flow.layers:
+            layer.w2.assign(np.random.default_rng(5).normal(
+                size=layer.w2.shape) * 0.1)
+    return model
+
+
 def _recon_value(samples, model, seed):
     """Reconstruction term under common random numbers, no parameter update."""
-    rng = np.random.default_rng(seed)
     images, targets = pl.batch_tensors(samples, model.cfg.num_classes)
-    out = pl.forward(images, model, "train", rng)
-    from flowseg.spatial import dice_ce_loss_per_item
-    per_item = dice_ce_loss_per_item(out.y_hat, targets)
-    recon = (per_item * dc.Tensor(pl.rn_weights(out.log_rn_weights))).mean()
-    return recon.data.item()
+    _, terms = pl.training_loss(images, targets, model,
+                                np.random.default_rng(seed))
+    return terms["recon"]
 
 
 # -- config ----------------------------------------------------------------------
@@ -293,8 +300,8 @@ def test_forward_shapes_and_simplex():
     assert np.allclose(out.y_hat.data.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(out.y_hat.data >= 0)
     assert len(out.log_rn_weights) == 4
-    for name in ("kl_y", "kl_z", "kl_x", "kl_m"):
-        assert getattr(out, name).data.size == 1
+    assert list(out.kls) == ["kl_y", "kl_z", "kl_x", "kl_m"]
+    assert all(kl.data.size == 1 for kl in out.kls.values())
 
 
 def test_posterior_mean_deterministic():
@@ -325,8 +332,8 @@ def test_toggle_matrix_phases(version):
     assert (model.flow is not None) == nf
     images, _ = pl.batch_tensors(_toy_samples(2, 16, 16), 2)
     out = pl.forward(images, model, "train", np.random.default_rng(1))
-    assert (out.kl_y.data.item() != 0.0) == ncvi
-    assert (out.kl_x.data.item() != 0.0) == ncvi
+    assert (out.kls["kl_y"].data.item() != 0.0) == ncvi
+    assert (out.kls["kl_x"].data.item() != 0.0) == ncvi
     if not sde:
         assert all(v == 0.0 for v in out.log_rn_weights)
 
@@ -360,8 +367,8 @@ def test_kl_terms_nonnegative_finite(version):
     model = pl.Model(cfg)
     images, _ = pl.batch_tensors(_toy_samples(4, 16, 16, seed=9), 2)
     out = pl.forward(images, model, "train", np.random.default_rng(2))
-    for name in ("kl_y", "kl_z", "kl_x", "kl_m"):
-        val = getattr(out, name).data.item()
+    for name, kl in out.kls.items():
+        val = kl.data.item()
         assert np.isfinite(val), f"{name} not finite"
         assert val >= -1e-9, f"{name} negative: {val}"
 
@@ -375,6 +382,67 @@ def test_flow_kl_term_only_when_both_components_on():
         opt = pl.Adam(model.named_params(), cfg.learning_rate)
         terms = pl.train_step(samples, model, opt, np.random.default_rng(3))
         assert ("flow_kl" in terms) == (nf and ncvi)
+
+
+@pytest.mark.parametrize("version", ["ver1", "ver5"])
+def test_training_loss_weights_its_terms(version):
+    cfg = pl.config_for_version(_tiny_cfg(), version)
+    model = _perturbed_flow(pl.Model(cfg))
+    images, targets = pl.batch_tensors(_toy_samples(4, 16, 16), cfg.num_classes)
+    loss, terms = pl.training_loss(images, targets, model, np.random.default_rng(6))
+    flow = ["flow_kl"] if version == "ver5" else []
+    assert list(terms) == ["recon", "kl_y", "kl_z", "kl_x", "kl_m", *flow, "loss"]
+    assert terms["loss"] == loss.data.item()
+    kls = terms["kl_y"] + terms["kl_z"] + terms["kl_x"] + terms["kl_m"]
+    lam = cfg.lambda_bayes
+    want = (terms["recon"] + lam / (4 * 16 * 16) * kls
+            + lam * terms.get("flow_kl", 0.0))
+    assert terms["loss"] == pytest.approx(want, rel=1e-12, abs=0.0)
+    if flow:
+        assert abs(lam * terms["flow_kl"]) > 1e-9 * abs(want)
+    model.cfg = replace(cfg, lambda_bayes=0.0)
+    _, terms = pl.training_loss(images, targets, model, np.random.default_rng(6))
+    assert terms["loss"] == terms["recon"]
+
+
+@pytest.mark.parametrize("version", ["ver1", "ver5"])
+def test_train_step_differentiates_training_loss(version):
+    # train_step is training_loss, backward and one Adam step: a twin model
+    # stepped by hand from the same rng ends with the same terms and bits.
+    cfg = pl.config_for_version(_tiny_cfg(), version)
+    samples = _toy_samples(4, 16, 16)
+    model, twin = _perturbed_flow(pl.Model(cfg)), _perturbed_flow(pl.Model(cfg))
+    opt = pl.Adam(model.named_params(), cfg.learning_rate, cfg.weight_decay)
+    twin_opt = pl.Adam(twin.named_params(), cfg.learning_rate, cfg.weight_decay)
+    start = {name: p.data for name, p in model.named_params()}
+    terms = pl.train_step(samples, model, opt, np.random.default_rng(4))
+    images, targets = pl.batch_tensors(samples, cfg.num_classes)
+    loss, twin_terms = pl.training_loss(images, targets, twin,
+                                        np.random.default_rng(4))
+    dc.backward(loss)
+    twin_opt.step()
+    assert list(terms.items()) == list(twin_terms.items())
+    for (name, p), (_, q) in zip(model.named_params(), twin.named_params()):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+    assert all(not np.array_equal(p.data, start[name])
+               for name, p in model.named_params())
+
+
+def test_a_nonfinite_gradient_names_every_term(monkeypatch):
+    def backward(loss):
+        raise dc.NonFiniteError("injected")
+
+    monkeypatch.setattr(pl, "backward", backward)
+    cfg = _tiny_cfg()
+    model = pl.Model(cfg)
+    opt = pl.Adam(model.named_params(), cfg.learning_rate)
+    with pytest.raises(dc.NonFiniteError) as info:
+        pl.train_step(_toy_samples(4, 16, 16), model, opt, np.random.default_rng(0))
+    message = str(info.value)
+    assert message.startswith("injected; terms so far: recon=")
+    assert re.findall(r"(\w+)=", message) == ["recon", "kl_y", "kl_z", "kl_x",
+                                              "kl_m", "flow_kl", "loss"]
+    assert opt.t == 0
 
 
 # -- training dynamics ---------------------------------------------------------------
@@ -407,15 +475,8 @@ def test_gradient_reaches_every_param_group():
     # gradient flow into their inputs until they move off exact zero.
     pl.train_step(samples, model, opt, np.random.default_rng(0))
 
-    rng = np.random.default_rng(1)
     images, targets = pl.batch_tensors(samples, cfg.num_classes)
-    out = pl.forward(images, model, "train", rng)
-    from flowseg.spatial import dice_ce_loss_per_item, total_loss
-    recon = dice_ce_loss_per_item(out.y_hat, targets).mean()
-    loss = total_loss(recon, [out.kl_y, out.kl_z, out.kl_x, out.kl_m],
-                      cfg.lambda_bayes, 4 * 16 * 16)
-    from flowseg.ncvi import mc_kl
-    loss = loss + mc_kl(model.flow, 16, rng) * cfg.lambda_bayes
+    loss, _ = pl.training_loss(images, targets, model, np.random.default_rng(1))
     dc.backward(loss)
     norms: dict[str, float] = {}
     for name, p in model.named_params():
@@ -441,34 +502,22 @@ def _swap_param(model, name, t):
 @pytest.mark.parametrize("version", ["ver2", "ver3", "ver4", "ver5"])
 def test_train_loss_gradient_matches_finite_differences(version, monkeypatch):
     # Criterion 07's end-to-end check covers ncvi=False only.  This one takes
-    # the loss train_step builds, NCVI terms and mc_kl included, through the
-    # OU paths.  B=1 makes the self-normalised RN weight exactly 1; the
-    # closed-form NCVI state is detached by design, so it is pinned to its
-    # value at the unperturbed point; the rng is replayed in each call.
+    # training_loss, which train_step differentiates, with the NCVI terms and
+    # mc_kl included, through the OU paths.  B=1 makes the self-normalised RN
+    # weight exactly 1; the closed-form NCVI state is detached by design, so
+    # it is pinned to its value at the unperturbed point; the rng is replayed
+    # in each call.
     cfg = pl.config_for_version(
         pl.ModelConfig(image_size=(8, 8), channels=2, flow_hidden=4,
                        sde_steps=4, flow_kl_samples=16, seed=1), version)
-    model = pl.Model(cfg)
-    if model.flow is not None:
-        for layer in model.flow.layers:
-            layer.w2.assign(np.random.default_rng(5).normal(
-                size=layer.w2.shape) * 0.1)
+    model = _perturbed_flow(pl.Model(cfg))
     img = np.random.default_rng(707).normal(size=(1, 1, 8, 8))
     target = np.zeros((1, 2, 8, 8))
     target[0, 0] = 1.0
-    from flowseg.ncvi import mc_kl
-    from flowseg.spatial import dice_ce_loss_per_item, total_loss
 
     def loss_fn(images):
-        rng = np.random.default_rng(11)
-        out = pl.forward(images, model, "train", rng)
-        per_item = dice_ce_loss_per_item(out.y_hat, dc.Tensor(target))
-        recon = (per_item * dc.Tensor(pl.rn_weights(out.log_rn_weights))).mean()
-        loss = total_loss(recon, [out.kl_y, out.kl_z, out.kl_x, out.kl_m],
-                          cfg.lambda_bayes, 64)
-        if cfg.nf_posterior and cfg.ncvi:
-            loss = loss + mc_kl(model.flow, cfg.flow_kl_samples, rng) * cfg.lambda_bayes
-        return loss
+        return pl.training_loss(images, dc.Tensor(target), model,
+                                np.random.default_rng(11))[0]
 
     pinned = []
     refresh = pl.refresh_state
@@ -750,6 +799,24 @@ def test_an_error_in_the_caller_stops_every_worker(monkeypatch, error):
     _assert_no_child_left()
 
 
+def test_a_failed_fork_leaks_no_pipe_and_reaps_the_workers(monkeypatch):
+    forked = _cpus(monkeypatch, 3)
+    counted_fork = pl.os.fork
+
+    def fork():
+        if forked:
+            raise BlockingIOError("injected")
+        return counted_fork()
+
+    monkeypatch.setattr(pl.os, "fork", fork)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError, match="injected"):
+        pl.evaluate(_toy_samples(3, 16, 16), pl.Model(_tiny_cfg()))
+    assert len(forked) == 1
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    _assert_no_child_left()
+
+
 def test_scoring_walks_no_tensor_list(monkeypatch):
     # predict asks each image's view for its frozen view; a view answers by
     # its class, without listing its tensors.
@@ -1021,6 +1088,23 @@ def test_train_step_peak_memory_guard():
 
 
 # -- checkpoints -------------------------------------------------------------------------
+
+
+def test_checkpoint_load_holds_one_copy_of_the_file(tmp_path):
+    # The sections are read-only views of the file's bytes; assign and
+    # Adam.load_state copy what they keep.  Copying every section on load
+    # as well peaked at about 2.5 times the file.
+    model = pl.Model(pl.ModelConfig())
+    path = tmp_path / "full.dbfc"
+    pl.checkpoint_save(model, path, opt=pl.Adam(model.named_params(), 1e-3), epoch=1)
+    tracemalloc.start()
+    try:
+        pl.checkpoint_load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 2 * size, f"peak {peak} bytes for a file of {size}"
 
 
 def test_checkpoint_round_trip_byte_identical(tmp_path):

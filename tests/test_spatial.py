@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from flowseg.diffcore import Tensor, grad_check
-from flowseg.spatial import (dice_ce_loss_per_item, grad_sqnorm,
-                             gumbel_softmax, total_loss)
+from flowseg.spatial import dice_ce_loss_per_item, grad_sqnorm, gumbel_softmax
 
 
 # -- gradient squared norm -------------------------------------------------------
@@ -135,14 +134,3 @@ def test_dice_ce_shape_mismatch():
         dice_ce_loss_per_item(Tensor(np.zeros((1, 2, 4, 4))),
                               Tensor(np.zeros((1, 3, 4, 4))))
 
-
-# -- total loss -----------------------------------------------------------------------
-
-def test_total_loss_combines_terms():
-    out = total_loss(Tensor(1.0), [Tensor(1.5), Tensor(0.5)], lam=100.0, n=100)
-    assert out.item() == pytest.approx(3.0, abs=1e-12)
-
-
-def test_total_loss_zero_lambda_is_reconstruction_only():
-    out = total_loss(Tensor(0.75), [Tensor(10.0)], lam=0.0, n=4)
-    assert out.item() == pytest.approx(0.75, abs=1e-14)
