@@ -84,18 +84,18 @@ def effective_config(args) -> tuple[dict, set]:
     """
     cfg = default_config()
     explicit: set[str] = set()
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
         file_vals = read_config_file(path)
         cfg.update(file_vals)
         explicit |= set(file_vals)
-    for setting in getattr(args, "set", None) or []:
+    for setting in args.set or []:
         key, value = _parse_setting(setting, "--set")
         cfg[key] = value
         explicit.add(key)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg["seed"] = args.seed
         explicit.add("seed")
     return cfg, explicit
@@ -168,8 +168,7 @@ def cmd_gen_data(args) -> int:
     image_size = config_from_items(cfg).image_size
     samples = gen_dataset(domain, cfg["n"], image_size=image_size)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     dataset_save(samples, out, num_classes=cfg["num_classes"])
     h, w = cfg["image_size"]
     print(f"wrote {out}: {cfg['n']} samples, {h}x{w}, "
@@ -376,13 +375,12 @@ def cmd_inspect(args) -> int:
         print(f"kind: dataset\nsamples: {n}\nheight: {h}\nwidth: {w}\n"
               f"classes: {k}\nbytes: {path.stat().st_size}\nchecksum: ok")
         return 0
-    model, opt_state, epoch = checkpoint_load(path)
+    model, _, epoch = checkpoint_load(path)
     named = model.named_params()
     print("kind: checkpoint")
     print(f"epoch: {epoch}")
     print(f"tensors: {len(named)}")
     print(f"parameters: {sum(p.data.size for _, p in named)}")
-    print(f"optimizer_state: {'yes' if opt_state is not None else 'no'}")
     for key, value in config_items(model.cfg).items():
         print(f"{key}: {format_value(value)}")
     return 0

@@ -653,7 +653,7 @@ def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, ...]:
 
 def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
         out_dir: str | Path | None = None,
-        resume: tuple[Model, dict | None, int] | None = None,
+        resume: tuple[Model, dict, int] | None = None,
         progress=None) -> tuple[Model, list[dict]]:
     """Shuffled minibatch epochs with per-epoch derived RNG streams.
 
@@ -773,22 +773,19 @@ def _unpack_section(body: Reader) -> tuple[str, np.ndarray]:
     return name, data.reshape(shape)  # read-only; assign and load_state copy
 
 
-def _sections(model: Model, opt_state: dict | None, epoch: int) -> list:
-    """(name, array) pairs in file order: the parameters; with optimizer state,
-    both moments of each parameter in name order and ``opt.t``; then ``epoch``."""
+def _sections(model: Model, opt_state: dict, epoch: int) -> list:
+    """(name, array) pairs in file order: the parameters, both moments of each
+    parameter in name order, ``opt.t``, then ``epoch``."""
     sections = [(name, p.data) for name, p in model.named_params()]
-    if opt_state is not None:
-        for name in sorted(opt_state["m"]):
-            sections += [(f"opt.{k}.{name}", opt_state[k][name]) for k in ("m", "v")]
-        sections.append(("opt.t", np.array([float(opt_state["t"])])))
-    return sections + [("epoch", np.array([float(epoch)]))]
+    for name in sorted(opt_state["m"]):
+        sections += [(f"opt.{k}.{name}", opt_state[k][name]) for k in ("m", "v")]
+    return sections + [("opt.t", np.array([float(opt_state["t"])])),
+                       ("epoch", np.array([float(epoch)]))]
 
 
-def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
-                    epoch: int = 0) -> None:
+def checkpoint_save(model: Model, path: str | Path, opt: Adam, epoch: int) -> None:
     """Self-describing snapshot: config block and the ``_sections``, sealed."""
-    state = None if opt is None else {"t": opt.t, "m": opt.m, "v": opt.v}
-    sections = _sections(model, state, epoch)
+    sections = _sections(model, {"t": opt.t, "m": opt.m, "v": opt.v}, epoch)
     out = Writer(CHECKPOINT_MAGIC)
     out.put_str(config_text(config_items(model.cfg)))
     out.put("<I", len(sections))
@@ -797,7 +794,7 @@ def checkpoint_save(model: Model, path: str | Path, opt: Adam | None = None,
     atomic_write(path, out.seal())
 
 
-def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
+def checkpoint_load(path: str | Path) -> tuple[Model, dict, int]:
     """Rebuild (model, optimizer state, epoch) from a file that holds exactly the
     ``_sections`` of its config's model, each finite and of its shape."""
     body = unseal(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
@@ -811,7 +808,7 @@ def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
     model = Model(cfg)
     params = dict(model.named_params())
     # The parameters stand in for their moments: only their shapes are kept.
-    stand_in = {"t": 0, "m": params, "v": params} if "opt.t" in arrays else None
+    stand_in = {"t": 0, "m": params, "v": params}
     expected = {name: arr.shape for name, arr in _sections(model, stand_in, 0)}
     faults: dict[str, list[str]] = {}
     for name in {**expected, **arrays}:
@@ -828,7 +825,6 @@ def checkpoint_load(path: str | Path) -> tuple[Model, dict | None, int]:
         raise FormatError(path, "; ".join(f.format(n[:4]) for f, n in faults.items()))
     for name, p in params.items():
         p.assign(arrays.pop(name))
-    opt_state = None if stand_in is None else {
-        "t": int(arrays["opt.t"].item()),
-        **{k: {n: arrays[f"opt.{k}.{n}"] for n in params} for k in ("m", "v")}}
+    opt_state = {"t": int(arrays["opt.t"].item()),
+                 **{k: {n: arrays[f"opt.{k}.{n}"] for n in params} for k in ("m", "v")}}
     return model, opt_state, int(arrays["epoch"].item())

@@ -90,8 +90,8 @@ def test_failed_replace_keeps_old_file(tmp_path, monkeypatch, kind):
 
 def test_sniff_names_kind_or_rejects(tmp_path):
     fd.dataset_save(_fixed_dataset(), tmp_path / "d.dbfd")
-    model, _ = _fixed_checkpoint()
-    pl.checkpoint_save(model, tmp_path / "c.dbfc")
+    model, opt = _fixed_checkpoint()
+    pl.checkpoint_save(model, tmp_path / "c.dbfc", opt=opt, epoch=5)
     assert fc.sniff(tmp_path / "d.dbfd") == "dataset"
     assert fc.sniff(tmp_path / "c.dbfc") == "checkpoint"
     (tmp_path / "x").write_bytes(b"NO")

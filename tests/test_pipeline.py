@@ -1129,28 +1129,25 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("with_opt", [False, True], ids=["no_opt", "opt"])
-@pytest.mark.parametrize("version", sorted(pl.VERSION_TOGGLES))
-def test_checkpoint_save_load_save_is_byte_identical(tmp_path, version, with_opt):
-    # Every variant's section list, with and without Adam moments, reads back
-    # into a model and optimizer that write the same bytes again.
+# Each id keeps its "-opt" suffix, so the cases keep their names.
+@pytest.mark.parametrize("version", sorted(pl.VERSION_TOGGLES),
+                         ids=lambda version: f"{version}-opt")
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path, version):
+    # Every variant's section list reads back into a model and optimizer
+    # that write the same bytes again.
     model = pl.Model(pl.config_for_version(_tiny_cfg(), version))
-    opt = None
-    if with_opt:
-        opt = pl.Adam(model.named_params(), lr=0.1)
-        opt.t = 3
-        rng = np.random.default_rng(5)
-        for name, p in model.named_params():
-            opt.m[name] = rng.normal(size=p.shape)
-            opt.v[name] = rng.random(p.shape)
+    opt = pl.Adam(model.named_params(), lr=0.1)
+    opt.t = 3
+    rng = np.random.default_rng(5)
+    for name, p in model.named_params():
+        opt.m[name] = rng.normal(size=p.shape)
+        opt.v[name] = rng.random(p.shape)
     first, second = tmp_path / "a.dbfc", tmp_path / "b.dbfc"
     pl.checkpoint_save(model, first, opt=opt, epoch=5)
     loaded, state, epoch = pl.checkpoint_load(first)
-    assert epoch == 5 and (state is None) == (not with_opt)
-    reopt = None
-    if with_opt:
-        reopt = pl.Adam(loaded.named_params(), lr=0.1)
-        reopt.load_state(state)
+    assert epoch == 5 and state["t"] == 3
+    reopt = pl.Adam(loaded.named_params(), lr=0.1)
+    reopt.load_state(state)
     pl.checkpoint_save(loaded, second, opt=reopt, epoch=epoch)
     assert first.read_bytes() == second.read_bytes()
 
@@ -1159,7 +1156,7 @@ def test_checkpoint_preserves_custom_hyperpriors(tmp_path):
     hp = Hyperpriors(phi_rho=1e-3, gamma_omega=5.0)
     model = pl.Model(replace(_tiny_cfg(), hp=hp))
     path = tmp_path / "hp.dbfc"
-    pl.checkpoint_save(model, path)
+    pl.checkpoint_save(model, path, opt=pl.Adam(model.named_params(), 1e-3), epoch=0)
     model2, _, _ = pl.checkpoint_load(path)
     assert model2.cfg.hp == hp
 
@@ -1167,7 +1164,7 @@ def test_checkpoint_preserves_custom_hyperpriors(tmp_path):
 def test_checkpoint_rejects_corruption(tmp_path):
     model = pl.Model(_tiny_cfg())
     path = tmp_path / "c.dbfc"
-    pl.checkpoint_save(model, path)
+    pl.checkpoint_save(model, path, opt=pl.Adam(model.named_params(), 1e-3), epoch=0)
     raw = path.read_bytes()
 
     bad = tmp_path / "bad.dbfc"
@@ -1228,7 +1225,8 @@ def test_fit_resume_with_nothing_left_to_train(tmp_path, epochs):
     # The checkpoint has trained two epochs, so epochs <= 2 would train none.
     cfg = _tiny_cfg(epochs=epochs)
     snap = tmp_path / "snap.dbfc"
-    pl.checkpoint_save(pl.Model(cfg), snap, epoch=2)
+    model = pl.Model(cfg)
+    pl.checkpoint_save(model, snap, opt=pl.Adam(model.named_params(), 1e-3), epoch=2)
     samples = _toy_samples(4, 16, 16)
     with pytest.raises(ValueError,
                        match=f"epochs = {epochs} .*already trained 2 epochs"):
