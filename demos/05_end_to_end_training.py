@@ -69,11 +69,11 @@ print("4. the best checkpoint, read back")
 print("=" * 70)
 
 path = Path(run_dir.name) / "ckpt-best.dbfc"
-loaded, opt_state, epoch = checkpoint_load(path)
+loaded, opt, epoch = checkpoint_load(path)
 same = all(np.array_equal(a.data, b.data)
            for (_, a), (_, b) in zip(model.named_params(), loaded.named_params()))
 print(f"{path.name}: {path.stat().st_size} bytes after {epoch} epochs, with the "
-      f"Adam moments of step {opt_state['t']}, so --resume continues the run")
+      f"Adam moments of step {opt.t}, so --resume continues the run")
 print(f"parameters identical to the model fit returned: {same}")
 assert same, "ckpt-best.dbfc does not hold the parameters fit returned"
 print(f"val dice from reloaded model: {evaluate(val, loaded):.4f}")

@@ -37,9 +37,8 @@ class ConfigError(ValueError):
 
 # -- configuration ---------------------------------------------------------------
 
-# Every key a config may set, with its default: the model's, then the CLI's.
-_DEFAULTS = {**config_items(ModelConfig()),
-             "domain": "A", "n": 200, "val_frac": 0.2, "run": "run"}
+# Every key a config may set, with its default: the model's, then the run name.
+_DEFAULTS = {**config_items(ModelConfig()), "run": "run"}
 
 
 def default_config() -> dict:
@@ -133,10 +132,9 @@ def _load_dataset(path, cfg: dict, pinned=frozenset({"image_size", "num_classes"
     return cfg, dataset_load(path)
 
 
-def _split_train_val(samples, val_frac: float):
-    if not 0.0 < val_frac < 1.0:
-        raise ConfigError(f"val_frac must be in (0, 1), got {val_frac}")
-    n_val = max(1, int(round(len(samples) * val_frac)))
+def _split_train_val(samples):
+    """Hold out the last fifth of the samples, at least one, for validation."""
+    n_val = max(1, int(round(len(samples) * 0.2)))
     if n_val >= len(samples):
         raise ConfigError(
             f"cannot hold out {n_val} of {len(samples)} samples for validation")
@@ -148,30 +146,22 @@ def _split_train_val(samples, val_frac: float):
 
 def cmd_gen_data(args) -> int:
     cfg, explicit = effective_config(args)
-    if args.domain is not None:
-        cfg["domain"] = args.domain
-    if args.n is not None:
-        cfg["n"] = args.n
-    if cfg["n"] <= 0:
-        raise ConfigError(f"--n must be positive, got {cfg['n']}")
-    name = cfg["domain"]
-    if name not in DOMAINS:
-        raise ConfigError(
-            f"unknown domain {name!r}; available: {', '.join(sorted(DOMAINS))}")
+    if args.n <= 0:
+        raise ConfigError(f"--n must be positive, got {args.n}")
     overrides = {field: getattr(args, field) for field in
                  ("noise_sigma", "bias_amplitude", "contrast_gamma")
                  if getattr(args, field) is not None}
     if "seed" in explicit:
         overrides["seed"] = cfg["seed"]
-    domain = replace(DOMAINS[name], **overrides)
+    domain = replace(DOMAINS[args.domain], **overrides)
     # A dataset's geometry is the model's, so the model config checks it.
     image_size = config_from_items(cfg).image_size
-    samples = gen_dataset(domain, cfg["n"], image_size=image_size)
+    samples = gen_dataset(domain, args.n, image_size=image_size)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     dataset_save(samples, out, num_classes=cfg["num_classes"])
     h, w = cfg["image_size"]
-    print(f"wrote {out}: {cfg['n']} samples, {h}x{w}, "
+    print(f"wrote {out}: {args.n} samples, {h}x{w}, "
           f"{cfg['num_classes']} classes, domain {domain.name} "
           f"(noise {domain.noise_sigma}, bias {domain.bias_amplitude}, "
           f"gamma {domain.contrast_gamma})")
@@ -191,7 +181,7 @@ def _train_common(args, cfg: dict, explicit: set, ckpt=None):
     cfg, samples = _load_dataset(args.data, cfg, explicit)
     if args.val:
         return cfg, samples, samples, _load_dataset(args.val, cfg)[1]
-    return cfg, samples, *_split_train_val(samples, cfg["val_frac"])
+    return cfg, samples, *_split_train_val(samples)
 
 
 def cmd_train(args) -> int:
@@ -404,8 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = subs.add_parser("gen-data", help="generate a synthetic dataset file")
     _add_common(g)
-    g.add_argument("--domain", choices=sorted(DOMAINS))
-    g.add_argument("--n", type=int, help="number of samples")
+    g.add_argument("--domain", choices=sorted(DOMAINS), default="A")
+    g.add_argument("--n", type=int, default=200, help="number of samples")
     g.add_argument("--noise-sigma", dest="noise_sigma", type=float)
     g.add_argument("--bias-amplitude", dest="bias_amplitude", type=float)
     g.add_argument("--contrast-gamma", dest="contrast_gamma", type=float)

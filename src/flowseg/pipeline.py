@@ -455,18 +455,19 @@ def forward(images, model: Model, mode: str = "train",
 # -- optimizer ---------------------------------------------------------------------
 
 class Adam:
-    """Adam with L2 weight decay folded into the gradient."""
+    """Adam with L2 weight decay folded into the gradient.  A fresh moment is a
+    read-only broadcast zero; ``step`` replaces each moment, never writes into it."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float,
-                 weight_decay: float = 0.0, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 weight_decay: float = 0.0):
         self.named = list(named_params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.named}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.named}
+        self.m = {name: np.broadcast_to(0.0, p.shape) for name, p in self.named}
+        self.v = dict(self.m)
 
     def step(self) -> None:
         self.t += 1
@@ -480,14 +481,6 @@ class Adam:
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
             p.assign(p.data - self.lr * update)
-
-    def load_state(self, state: dict) -> None:
-        """Restore step count and moments from the optimizer state that
-        ``checkpoint_load`` checked against this model."""
-        self.t = int(state["t"])
-        for name, _ in self.named:
-            self.m[name] = state["m"][name].copy()
-            self.v[name] = state["v"][name].copy()
 
 
 # -- training -----------------------------------------------------------------------
@@ -653,7 +646,7 @@ def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, ...]:
 
 def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
         out_dir: str | Path | None = None,
-        resume: tuple[Model, dict, int] | None = None,
+        resume: tuple[Model, Adam, int] | None = None,
         progress=None) -> tuple[Model, list[dict]]:
     """Shuffled minibatch epochs with per-epoch derived RNG streams.
 
@@ -661,21 +654,19 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
     ``train_step`` term; ``progress`` gets each row as its epoch ends.
     Checkpoints go to out_dir (ckpt-last every epoch, ckpt-best at the best
     validation Dice); the returned model carries the best parameters.
-    ``resume`` is what ``checkpoint_load`` returned; resuming continues its
-    model with its optimizer moments and epoch numbering, reproducing the
+    ``resume`` is what ``checkpoint_load`` returned; resuming steps its model
+    with its ``Adam`` and continues its epoch numbering, reproducing the
     unbroken trajectory because every stream is re-derived from (seed, epoch).
     """
     if not train_set or not val_set:
         raise ValueError("fit needs nonempty train and validation sets")
     if resume is not None:
-        model, opt_state, start_epoch = resume
+        model, opt, start_epoch = resume
         model.cfg = resumed_config(model.cfg, start_epoch, cfg.epochs)
     else:
-        model, opt_state, start_epoch = Model(cfg), None, 0
+        model, start_epoch = Model(cfg), 0
+        opt = Adam(model.named_params(), cfg.learning_rate, cfg.weight_decay)
     cfg = model.cfg
-    opt = Adam(model.named_params(), cfg.learning_rate, cfg.weight_decay)
-    if opt_state is not None:
-        opt.load_state(opt_state)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -770,22 +761,22 @@ def _unpack_section(body: Reader) -> tuple[str, np.ndarray]:
     if count * 8 > body.remaining:
         raise FormatError(body.path, f"section {name!r}: shape {shape} overruns the body")
     data = np.frombuffer(body.take_bytes(count * 8), dtype="<f8")
-    return name, data.reshape(shape)  # read-only; assign and load_state copy
+    return name, data.reshape(shape)  # read-only; assign copies, Adam keeps views
 
 
-def _sections(model: Model, opt_state: dict, epoch: int) -> list:
+def _sections(model: Model, opt: Adam, epoch: int) -> list:
     """(name, array) pairs in file order: the parameters, both moments of each
     parameter in name order, ``opt.t``, then ``epoch``."""
     sections = [(name, p.data) for name, p in model.named_params()]
-    for name in sorted(opt_state["m"]):
-        sections += [(f"opt.{k}.{name}", opt_state[k][name]) for k in ("m", "v")]
-    return sections + [("opt.t", np.array([float(opt_state["t"])])),
+    for name in sorted(opt.m):
+        sections += [(f"opt.m.{name}", opt.m[name]), (f"opt.v.{name}", opt.v[name])]
+    return sections + [("opt.t", np.array([float(opt.t)])),
                        ("epoch", np.array([float(epoch)]))]
 
 
 def checkpoint_save(model: Model, path: str | Path, opt: Adam, epoch: int) -> None:
     """Self-describing snapshot: config block and the ``_sections``, sealed."""
-    sections = _sections(model, {"t": opt.t, "m": opt.m, "v": opt.v}, epoch)
+    sections = _sections(model, opt, epoch)
     out = Writer(CHECKPOINT_MAGIC)
     out.put_str(config_text(config_items(model.cfg)))
     out.put("<I", len(sections))
@@ -794,9 +785,11 @@ def checkpoint_save(model: Model, path: str | Path, opt: Adam, epoch: int) -> No
     atomic_write(path, out.seal())
 
 
-def checkpoint_load(path: str | Path) -> tuple[Model, dict, int]:
-    """Rebuild (model, optimizer state, epoch) from a file that holds exactly the
-    ``_sections`` of its config's model, each finite and of its shape."""
+def checkpoint_load(path: str | Path) -> tuple[Model, Adam, int]:
+    """Rebuild (model, the ``Adam`` that continues its run, epoch) from a file
+    that holds exactly the ``_sections`` of its config's model and a fresh
+    ``Adam``, each finite and of its shape.  The moments stay read-only views
+    of the file's bytes."""
     body = unseal(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
     cfg = _unpack_config(body)
     (n_sections,) = body.take("<I")
@@ -806,10 +799,8 @@ def checkpoint_load(path: str | Path) -> tuple[Model, dict, int]:
     if len(arrays) < n_sections:
         raise FormatError(path, f"{n_sections} sections, {len(arrays)} distinct names")
     model = Model(cfg)
-    params = dict(model.named_params())
-    # The parameters stand in for their moments: only their shapes are kept.
-    stand_in = {"t": 0, "m": params, "v": params}
-    expected = {name: arr.shape for name, arr in _sections(model, stand_in, 0)}
+    opt = Adam(model.named_params(), cfg.learning_rate, cfg.weight_decay)
+    expected = {name: arr.shape for name, arr in _sections(model, opt, 0)}
     faults: dict[str, list[str]] = {}
     for name in {**expected, **arrays}:
         want, got = expected.get(name), arrays.get(name)
@@ -823,8 +814,8 @@ def checkpoint_load(path: str | Path) -> tuple[Model, dict, int]:
             faults.setdefault(fault, []).append(name)
     if faults:
         raise FormatError(path, "; ".join(f.format(n[:4]) for f, n in faults.items()))
-    for name, p in params.items():
+    for name, p in opt.named:
         p.assign(arrays.pop(name))
-    opt_state = {"t": int(arrays["opt.t"].item()),
-                 **{k: {n: arrays[f"opt.{k}.{n}"] for n in params} for k in ("m", "v")}}
-    return model, opt_state, int(arrays["epoch"].item())
+        opt.m[name], opt.v[name] = arrays[f"opt.m.{name}"], arrays[f"opt.v.{name}"]
+    opt.t = int(arrays["opt.t"].item())
+    return model, opt, int(arrays["epoch"].item())

@@ -512,9 +512,7 @@ def test_criterion_11_persistence(tmp_path):
     c1 = tmp_path / "a.dbfc"
     c2 = tmp_path / "b.dbfc"
     pl.checkpoint_save(model, c1, opt=opt, epoch=1)
-    loaded, opt_state, epoch = pl.checkpoint_load(c1)
-    opt2 = pl.Adam(loaded.named_params(), cfg.learning_rate, cfg.weight_decay)
-    opt2.load_state(opt_state)
+    loaded, opt2, epoch = pl.checkpoint_load(c1)
     pl.checkpoint_save(loaded, c2, opt=opt2, epoch=epoch)
     ckpt_rt = c1.read_bytes() == c2.read_bytes()
 

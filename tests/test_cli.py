@@ -351,9 +351,7 @@ def test_train_resume_geometry_mismatch(work, tmp_path, capsys):
 @pytest.mark.parametrize("moment", ["m", "v"])
 def test_train_resume_rejects_misshapen_moment(work, tmp_path, capsys, moment):
     # A (1,) moment would broadcast over its parameter without a word.
-    model, opt_state, epoch = pl.checkpoint_load(work["ckpt"])
-    opt = pl.Adam(model.named_params(), model.cfg.learning_rate)
-    opt.load_state(opt_state)
+    model, opt, epoch = pl.checkpoint_load(work["ckpt"])
     getattr(opt, moment)["seg.enc0a.w"] = np.zeros(1)
     path = tmp_path / "moment.dbfc"
     pl.checkpoint_save(model, path, opt=opt, epoch=epoch)

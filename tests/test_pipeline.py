@@ -279,9 +279,7 @@ def test_checkpoint_load_rejects_missing_moments(tmp_path):
     pl.checkpoint_save(model, ghost, opt=opt, epoch=1)
     with pytest.raises(fd.FormatError, match=r"unrecognized sections.*ghost"):
         pl.checkpoint_load(ghost)
-    loaded, state, _ = pl.checkpoint_load(path)
-    restored = pl.Adam(loaded.named_params(), lr=0.1)
-    restored.load_state(state)
+    _, restored, _ = pl.checkpoint_load(path)
     assert restored.t == 4
     np.testing.assert_array_equal(restored.v["seg.enc0a.w"],
                                   opt.v["seg.enc0a.w"])
@@ -581,11 +579,11 @@ def test_a_block_added_to_a_module_is_trained_and_saved(tmp_path, monkeypatch):
         assert not np.array_equal(named[name].data, start[name]), name
     path = tmp_path / "gated.dbfc"
     pl.checkpoint_save(model, path, opt=opt, epoch=1)
-    loaded, state, _ = pl.checkpoint_load(path)
+    loaded, loaded_opt, _ = pl.checkpoint_load(path)
     loaded_named = dict(loaded.named_params())
     for name in gate:
         np.testing.assert_array_equal(loaded_named[name].data, named[name].data)
-        np.testing.assert_array_equal(state["m"][name], opt.m[name])
+        np.testing.assert_array_equal(loaded_opt.m[name], opt.m[name])
 
 
 def test_recon_term_decreases_over_training():
@@ -1091,9 +1089,10 @@ def test_train_step_peak_memory_guard():
 
 
 def test_checkpoint_load_holds_one_copy_of_the_file(tmp_path):
-    # The sections are read-only views of the file's bytes; assign and
-    # Adam.load_state copy what they keep.  Copying every section on load
-    # as well peaked at about 2.5 times the file.
+    # The sections are read-only views of the file's bytes: assign copies
+    # each parameter, and the loaded Adam keeps its moments as views.  A
+    # fresh Adam's moments are broadcast zeros that hold no memory.  Copying
+    # every section on load as well peaked at about 2.5 times the file.
     model = pl.Model(pl.ModelConfig())
     path = tmp_path / "full.dbfc"
     pl.checkpoint_save(model, path, opt=pl.Adam(model.named_params(), 1e-3), epoch=1)
@@ -1115,17 +1114,32 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     p1 = tmp_path / "a.dbfc"
     p2 = tmp_path / "b.dbfc"
     pl.checkpoint_save(model, p1, opt=opt, epoch=7)
-    model2, opt_state, epoch = pl.checkpoint_load(p1)
+    model2, opt2, epoch = pl.checkpoint_load(p1)
     assert epoch == 7
-    assert opt_state["t"] == opt.t
+    assert opt2.t == opt.t
     assert model2.cfg == model.cfg
     assert model2.cfg.hp == model.cfg.hp
     for (na, pa), (nb, pb) in zip(model.named_params(), model2.named_params()):
         assert na == nb
         assert np.array_equal(pa.data, pb.data)
-    opt2 = pl.Adam(model2.named_params(), cfg.learning_rate, cfg.weight_decay)
-    opt2.load_state(opt_state)
+    # The loaded Adam steps the loaded model's own tensors.
+    assert [(n, id(p)) for n, p in opt2.named] == \
+        [(n, id(p)) for n, p in model2.named_params()]
+    # Its moments are read-only views of the file, not copies.
+    with pytest.raises(ValueError, match="read-only"):
+        opt2.m["seg.enc0a.w"][...] = 0.0
     pl.checkpoint_save(model2, p2, opt=opt2, epoch=7)
+    assert p1.read_bytes() == p2.read_bytes()
+    # One more step of each pair, from equal streams, lands on the same bits.
+    for m, o in ((model, opt), (model2, opt2)):
+        pl.train_step(_toy_samples(4, 16, 16, seed=1), m, o, np.random.default_rng(1))
+    assert opt2.t == opt.t == 2
+    for (name, pa), (_, pb) in zip(model.named_params(), model2.named_params()):
+        assert np.array_equal(pa.data, pb.data), name
+        assert np.array_equal(opt.m[name], opt2.m[name]), name
+        assert np.array_equal(opt.v[name], opt2.v[name]), name
+    pl.checkpoint_save(model, p1, opt=opt, epoch=8)
+    pl.checkpoint_save(model2, p2, opt=opt2, epoch=8)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -1144,10 +1158,8 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path, version):
         opt.v[name] = rng.random(p.shape)
     first, second = tmp_path / "a.dbfc", tmp_path / "b.dbfc"
     pl.checkpoint_save(model, first, opt=opt, epoch=5)
-    loaded, state, epoch = pl.checkpoint_load(first)
-    assert epoch == 5 and state["t"] == 3
-    reopt = pl.Adam(loaded.named_params(), lr=0.1)
-    reopt.load_state(state)
+    loaded, reopt, epoch = pl.checkpoint_load(first)
+    assert epoch == 5 and reopt.t == 3
     pl.checkpoint_save(loaded, second, opt=reopt, epoch=epoch)
     assert first.read_bytes() == second.read_bytes()
 

@@ -5,10 +5,13 @@ up (``pipeline.forward``, ``pipeline.sde_girsanov_sample_field``,
 ``cli.fit``, ...).  Renaming or removing one of them breaks the traced run,
 so entering its instrumentation is checked here.  A name that still exists
 but that ``pipeline`` no longer calls through would make its layer read 0,
-so a traced step and evaluation must record a span for every layer.
+so a traced step and evaluation must record a span for every layer.  The
+bench scores its checkpoints with ``workloads.predicted_dice``, which must
+read a checkpoint as ``evaluate`` scores the model that wrote it.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,8 @@ import flowseg.cli as cli
 import flowseg.data as fd
 import flowseg.pipeline as pl
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -59,3 +63,21 @@ def test_a_traced_step_and_evaluation_record_every_layer():
         pl.evaluate(samples, model)
     recorded = {span.name for span in tracer.spans}
     assert [name for name in LAYER_SPANS if name not in recorded] == []
+
+
+def test_the_bench_reads_a_checkpoint_as_evaluate_scores_it(tmp_path, monkeypatch):
+    # perfbench/workloads.py scores the eval and ablate checkpoints with
+    # predicted_dice, which unpacks what checkpoint_load returns.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules as they are built.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    cfg = pl.ModelConfig(image_size=(32, 32), channels=2, flow_layers=1,
+                         flow_hidden=4, flow_kl_samples=8, batch_size=2, epochs=1)
+    samples = fd.gen_dataset(fd.DOMAINS["A"], 6, image_size=(32, 32))
+    train, val = samples[:4], samples[4:]
+    model, _ = pl.fit(train, val, cfg, out_dir=tmp_path)
+    dice = workloads.predicted_dice(tmp_path / "ckpt-best.dbfc", val)
+    assert dice == pl.evaluate(val, model)
