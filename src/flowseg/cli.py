@@ -10,10 +10,18 @@ run directory.  Exit codes: 0 success, 2 usage/config, 3 I/O, 4 numerical
 failure, 141 stdout closed by its reader.
 """
 
+import os
+
+# One BLAS thread in every process the CLI starts, set before numpy loads:
+# training and evaluation already fork one process per CPU, and a second
+# BLAS thread in each only contends with them.  A setting made by the caller
+# still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import argparse
 import csv
 import io
-import os
 import subprocess
 import sys
 import time
@@ -229,10 +237,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _start_fit(args, out: Path, version: str) -> subprocess.Popen:
-    """``flowseg train`` of one version as a child with one BLAS thread, its
-    output in ``<out>/<version>.log``.  The directory holding this package
-    goes first on the child's path, so it runs this code whatever its cwd."""
+def _start_fit(args, out: Path, version: str, cpus: list[int]) -> subprocess.Popen:
+    """``flowseg train`` of one version as a child on ``cpus``, its output in
+    ``<out>/<version>.log``.  The directory holding this package goes first
+    on the child's path, so it runs this code whatever its cwd."""
     toggles = zip(TOGGLES, VERSION_TOGGLES[version])
     sets = [f"{k}={format_value(on)}" for k, on in toggles] + [f"run={version}"]
     argv = [sys.executable, "-m", "flowseg.cli", "train", "--data", args.data,
@@ -240,10 +248,11 @@ def _start_fit(args, out: Path, version: str) -> subprocess.Popen:
             *(["--val", args.val] if args.val else []),
             *[a for s in sets for a in ("--set", s)]]
     path = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     with open(out / f"{version}.log", "w") as log:
-        return subprocess.Popen(argv, stdout=log, stderr=subprocess.STDOUT, env=env)
+        proc = subprocess.Popen(argv, stdout=log, stderr=subprocess.STDOUT, env=env)
+    os.sched_setaffinity(proc.pid, cpus)
+    return proc
 
 
 def _next_exit(running: dict[str, subprocess.Popen]) -> tuple[str, int]:
@@ -272,20 +281,28 @@ def cmd_ablate(args) -> int:
     # Each version is a `flowseg train` child, one per CPU this process may
     # use.  ver5 starts first and ver1, whose steps cost about three fifths
     # of ver5's, last; each checkpoint is scored here as its child exits.
+    # Each running child has its own share of the CPUs, which its steps
+    # spread over, so that no two children's processes contend for one CPU;
+    # the split changes no output bit.
     pending = sorted(VERSION_TOGGLES)
-    slots = min(len(pending), len(os.sched_getaffinity(0)))
+    cpus = sorted(os.sched_getaffinity(0))
+    slots = min(len(pending), len(cpus))
+    free = [cpus[i::slots] for i in range(slots)]
+    shares: dict[str, list[int]] = {}
     running: dict[str, subprocess.Popen] = {}
     dices: dict[str, list[float]] = {}
 
     def fill():
-        while pending and len(running) < slots:
+        while pending and free:
             version = pending.pop()
-            running[version] = _start_fit(args, out, version)
+            shares[version] = free.pop()
+            running[version] = _start_fit(args, out, version, shares[version])
 
     try:
         fill()
         while running:
             version, code = _next_exit(running)
+            free.append(shares.pop(version))
             if code:
                 print(f"error: ablate {version} exited {code}; see "
                       f"{out / f'{version}.log'}", file=sys.stderr)

@@ -6,6 +6,9 @@ Girsanov weight (or by Gaussian reparameterization when that is off).  The
 shape latent drives a small U-shaped segmentation net whose logits the flow
 refines and Gumbel-Softmax discretizes during training.  ``training_loss``,
 the objective, adds closed-form KL penalties and the flow KL to Dice + CE.
+Each item of a batch draws from its own stream, so its loss and gradient
+depend on the parameters and that item alone, and ``train_step`` spreads the
+items over the usable CPUs as ``evaluate`` spreads its images.
 Evaluation (``posterior_mean``) takes every latent at its mean, so it runs
 only the shape stream and the U-Net and returns softmax(mu_z); it runs on a
 frozen view of the model (``Model.frozen``) and records no tape.
@@ -18,6 +21,7 @@ import pickle
 import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 
@@ -26,8 +30,8 @@ import numpy as np
 from .container import (CHECKPOINT_MAGIC, FormatError, Reader, Writer,
                         atomic_write, unseal)
 from .data import Sample, dice_score
-from .diffcore import (NonFiniteError, ShapeError, Tensor, backward, bias_act,
-                       concat, conv2d, zero_grad)
+from .diffcore import (NonFiniteError, ShapeError, Tensor, _accumulate, backward,
+                       bias_act, concat, conv2d, zero_grad)
 from .flows import FlowStack, flow_push
 from .ncvi import (Hyperpriors, gaussian_kl_closed, kl_terms, mc_kl,
                    refresh_state)
@@ -515,43 +519,121 @@ def _terms_so_far(terms: dict[str, float]):
             + ", ".join(f"{k}={v:.6g}" for k, v in terms.items())) from exc
 
 
+def _share(recon, kls: dict, weight: float, b: int, cfg: ModelConfig):
+    """One item's share of the objective, (w/B)*recon + (lambda/n)*(sum of its
+    KLs) with n = B*H*W, in floats or in tensors alike."""
+    h, w = cfg.image_size
+    kl = list(kls.values())
+    return recon * (weight / b) + sum(kl[1:], kl[0]) * (cfg.lambda_bayes / (b * h * w))
+
+
+def _shares(images: Tensor, targets: Tensor, model: Model, rngs: list, lo: int,
+            hi: int, weigh) -> list[Tensor]:
+    """The shares of items lo..hi-1.  Each item runs ``forward`` alone on its
+    own stream ``rngs[i]``; ``weigh`` takes their (recon, KLs, log RN weight)
+    values and returns the whole batch's RN weights."""
+    parts = []
+    for i in range(lo, hi):
+        out = forward(images.slice(0, i, i + 1), model, "train", rngs[i])
+        parts.append((dice_ce_loss_per_item(out.y_hat, targets.slice(0, i, i + 1)),
+                      out.kls, out.log_rn_weights[0]))
+    weights = weigh([(recon.item(), {k: t.item() for k, t in kls.items()}, log_w)
+                     for recon, kls, log_w in parts])
+    return [_share(recon, kls, w, len(weights), model.cfg)
+            for (recon, kls, _), w in zip(parts, weights[lo:hi])]
+
+
+def _weigh(rows: list, flow_kl: Tensor | None, cfg: ModelConfig,
+           terms: dict[str, float]) -> list[float]:
+    """The batch's RN weights from every item's (recon, KLs, log weight); puts
+    the loss terms, each summed in item order, in ``terms``."""
+    weights = rn_weights([log_w for _, _, log_w in rows]).tolist()
+    b = len(rows)
+    terms["recon"] = sum(recon * (w / b) for (recon, _, _), w in zip(rows, weights))
+    terms.update((key, sum(kls[key] for _, kls, _ in rows)) for key in rows[0][1])
+    loss = sum(_share(recon, kls, w, b, cfg) for (recon, kls, _), w in zip(rows, weights))
+    if flow_kl is not None:
+        terms["flow_kl"] = flow_kl.item()
+        loss += terms["flow_kl"] * cfg.lambda_bayes
+    terms["loss"] = loss
+    return weights
+
+
+def _flow_kl(model: Model, rng: np.random.Generator) -> Tensor | None:
+    """With NF and NCVI on, the flow's MC KL.  It is already a per-element
+    quantity, so it enters at lambda_bayes, the scale of the field KLs over n."""
+    cfg = model.cfg
+    on = cfg.nf_posterior and cfg.ncvi
+    return mc_kl(model.flow, cfg.flow_kl_samples, rng) if on else None
+
+
 def training_loss(images, targets: Tensor, model: Model,
                   rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
-    """The training objective and its terms by name, in the order computed:
-    ``recon``, the batch mean of each item's Dice + CE loss times its RN
-    weight; the KL penalties, weighted by lambda_bayes / (B*H*W); with NF and
-    NCVI on, ``flow_kl``, weighted by lambda_bayes; their total ``loss``."""
+    """The training objective and its terms by name: ``recon``, the sum over
+    items of each one's Dice + CE loss times its RN weight over B; each KL
+    penalty summed over the items; with NF and NCVI on, ``flow_kl``; and the
+    total ``loss``, the items' ``_share``s plus lambda_bayes times the flow
+    KL.  ``rng`` spawns B + 1 streams: item i draws from the i-th and the flow
+    KL from the last, so an item's share depends only on the parameters and
+    that item, and ``train_step`` can differentiate it item by item."""
     cfg = model.cfg
+    images = _as_images(images, cfg)
+    rngs = rng.spawn(images.shape[0] + 1)
     terms: dict[str, float] = {}
     with _terms_so_far(terms):
-        out = forward(images, model, "train", rng)
-        per_item = dice_ce_loss_per_item(out.y_hat, targets)
-        recon = (per_item * Tensor(rn_weights(out.log_rn_weights))).mean()
-        terms["recon"] = recon.data.item()
-        terms.update((key, t.data.item()) for key, t in out.kls.items())
-        kls = list(out.kls.values())
-        b, _, h, w = out.y_hat.shape
-        loss = recon + sum(kls[1:], kls[0]) * (cfg.lambda_bayes / (b * h * w))
-        if cfg.nf_posterior and cfg.ncvi:
-            # The flow KL is already a per-element quantity, so it enters at
-            # the same normalized scale as the summed field KLs.
-            flow_kl = mc_kl(model.flow, cfg.flow_kl_samples, rng)
-            terms["flow_kl"] = flow_kl.data.item()
+        flow_kl = _flow_kl(model, rngs[-1])
+        shares = _shares(images, targets, model, rngs, 0, images.shape[0],
+                         lambda rows: _weigh(rows, flow_kl, cfg, terms))
+        loss = sum(shares[1:], shares[0])
+        if flow_kl is not None:
             loss = loss + flow_kl * cfg.lambda_bayes
-        terms["loss"] = loss.data.item()
     return loss, terms
 
 
 def train_step(batch: list[Sample], model: Model, opt: Adam,
                rng: np.random.Generator) -> dict[str, float]:
-    """``training_loss`` of the batch, its gradient and one optimizer step;
-    returns the loss terms.  A ``NonFiniteError`` names the terms so far."""
-    loss, terms = training_loss(*batch_tensors(batch, model.cfg.num_classes),
-                                model, rng)
-    with _terms_so_far(terms):
-        backward(loss)
+    """One optimizer step on the gradient of ``training_loss``; returns its
+    terms.  The items run in one contiguous chunk per usable CPU (see
+    ``_workers``): a worker sends back its items' values, is sent the batch's
+    RN weights and replies with each item's gradient, taken from zero.  Here
+    the gradients are summed in item order and the flow KL's added last, so
+    the step is the same to the bit on any number of CPUs.  A
+    ``NonFiniteError`` names the terms so far."""
+    cfg = model.cfg
+    images, targets = batch_tensors(batch, cfg.num_classes)
+    rngs = rng.spawn(len(batch) + 1)
+    params = model.params()
+    terms: dict[str, float] = {}
+
+    def grads(lo, hi, weigh):
+        out = []
+        for share in _shares(images, targets, model, rngs, lo, hi, weigh):
+            backward(share)
+            out.append([p.grad for p in params])
+            zero_grad(params)
+        return out
+
+    with _terms_so_far(terms), _workers(len(batch), grads) as (first, workers):
+        def weigh(rows):
+            for worker in workers:
+                rows += worker.reply()
+            weights = _weigh(rows, flow_kl, cfg, terms)
+            for worker in workers:
+                worker.send(weights)
+            return weights
+
+        flow_kl = _flow_kl(model, rngs[-1])
+        summed = grads(0, first, weigh)
+        for worker in workers:
+            summed += worker.reply()
+        for item in summed:
+            for p, g in zip(params, item):
+                if g is not None:
+                    _accumulate(p._node, g)
+        if flow_kl is not None and flow_kl.requires_grad:  # a flow with layers
+            backward(flow_kl * cfg.lambda_bayes)
     opt.step()
-    zero_grad(model.params())
+    zero_grad(params)
     return terms
 
 
@@ -572,40 +654,100 @@ def _dice_scores(samples: list[Sample], view: Model) -> list[float]:
                            for c in range(1, k)])) for s in samples]
 
 
-def _fork_scorer(samples: list[Sample], view: Model):
-    """Fork a worker that pickles ``_dice_scores(samples, view)``, or what it
-    raised, into a pipe; return (pid, read end).  The worker leaves only by
-    ``os._exit``, never into its caller's frames."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
+class _Worker:
+    """A forked process that runs ``task(ask)`` and replies with what it
+    returns or raises.  ``ask(value)`` replies with value and returns what the
+    caller next ``send``s.  The worker leaves only by ``os._exit``, never into
+    its caller's frames, and Ctrl-C ends it at once (the caller raises it)."""
+
+    def __init__(self, task):
+        up, down = os.pipe(), os.pipe()  # (read end, write end) each
         try:
-            # Ctrl-C ends a worker at once; the caller raises it.
-            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            self.pid = os.fork()
+        except BaseException:
+            for fd in up + down:
+                os.close(fd)
+            raise
+        if self.pid == 0:
             try:
-                reply = _dice_scores(samples, view)
-            except BaseException as exc:
-                reply = exc
-            with open(w, "wb") as out:
-                out.write(pickle.dumps(reply))
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(w)
-    return pid, open(r, "rb")
+                signal.signal(signal.SIGINT, signal.SIG_DFL)
+                # Holding no write end of its own orders pipe, the worker
+                # reads end-of-file once its caller has gone.
+                os.close(up[0])
+                os.close(down[1])
+                replies, orders = open(up[1], "wb"), open(down[0], "rb")
+
+                def ask(value):
+                    replies.write(pickle.dumps(value))
+                    replies.flush()
+                    return pickle.load(orders)
+                try:
+                    reply = task(ask)
+                except BaseException as exc:
+                    reply = exc
+                replies.write(pickle.dumps(reply))
+                replies.close()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(up[1])
+        os.close(down[0])
+        self.status = None
+        # Unbuffered: what the caller sends is small, one write on the pipe.
+        self._replies, self._orders = open(up[0], "rb"), open(down[1], "wb", 0)
+
+    def reply(self):
+        """The next reply; raises what the worker raised, and a
+        ``ChildProcessError`` if it ended without replying."""
+        try:
+            reply = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):
+            self.stop()
+            raise ChildProcessError(f"worker {self.pid} ended with status "
+                                    f"{self.status} and no reply") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def send(self, value) -> None:
+        try:
+            self._orders.write(pickle.dumps(value))
+        except BrokenPipeError:
+            pass  # the worker has ended; its reply says how
+
+    def stop(self) -> None:
+        """Close the pipes, and kill and reap the worker unless reaped.  Its
+        reply pipe closes as it exits, so a kill then keeps its status."""
+        self._replies.close()
+        self._orders.close()
+        if self.status is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+@contextmanager
+def _workers(n: int, task):
+    """Split range(n) into one contiguous chunk per usable CPU and fork a
+    ``_Worker`` running ``task(lo, hi, ask)`` on each chunk but the first;
+    yields (the first chunk's end, the workers), and stops them all on exit."""
+    cpus = min(len(os.sched_getaffinity(0)), n)
+    cuts = [n * i // cpus for i in range(cpus + 1)]
+    workers = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            workers.append(_Worker(partial(task, lo, hi)))
+        yield cuts[1], workers
+    finally:
+        for worker in workers:
+            worker.stop()
 
 
 def evaluate(samples: list[Sample], model: Model) -> float:
     """Mean Dice over samples, averaged over the non-background classes;
     ``predict`` scores them one at a time on one frozen view of the model, in
-    one contiguous chunk per usable CPU: the first here, each other in a
-    forked worker.  The scores join in sample order, so the mean is the
-    serial one to the bit; a worker's exception is raised here."""
+    one contiguous chunk per usable CPU (see ``_workers``).  The scores join
+    in sample order, so the mean is the serial one to the bit; a worker's
+    exception is raised here."""
     if not samples:
         raise ValueError("evaluate needs a nonempty dataset")
     k = model.cfg.num_classes
@@ -613,29 +755,11 @@ def evaluate(samples: list[Sample], model: Model) -> float:
     if top >= k:
         raise ValueError(f"mask label {top} >= num_classes {k}")
     view = model.frozen()
-    n = min(len(os.sched_getaffinity(0)), len(samples))
-    cuts = [len(samples) * i // n for i in range(n + 1)]
-    workers = []  # (pid, pipe) of every worker not yet reaped
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            workers.append(_fork_scorer(samples[lo:hi], view))
-        scores = _dice_scores(samples[:cuts[1]], view)
-        while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                reply = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[0]
-            reply = pickle.loads(reply) if reply else ChildProcessError(
-                f"evaluate worker {pid} ended with status {status} and no reply")
-            if isinstance(reply, BaseException):
-                raise reply
-            scores += reply
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    with _workers(len(samples), lambda lo, hi, _: _dice_scores(samples[lo:hi], view)
+                  ) as (first, workers):
+        scores = _dice_scores(samples[:first], view)
+        for worker in workers:
+            scores += worker.reply()
     return float(np.mean(scores))
 
 

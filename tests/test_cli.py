@@ -603,6 +603,28 @@ def test_eval_exits_4_on_a_numerical_failure_in_a_worker(work, tmp_path, capsys,
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_train_exits_4_on_a_numerical_failure_in_a_worker(work, tmp_path, capsys,
+                                                          monkeypatch):
+    # With two CPUs a forked worker runs the second half of each batch; its
+    # NonFiniteError, which names its phase, must reach main.
+    real_gumbel, parent = pl.gumbel_softmax, os.getpid()
+
+    def gumbel_softmax(*args):
+        if os.getpid() != parent:
+            raise NonFiniteError(f"injected in worker {os.getpid()}")
+        return real_gumbel(*args)
+
+    monkeypatch.setattr(pl, "gumbel_softmax", gumbel_softmax)
+    monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: {0, 1})
+    code = cli.main(["train", "--data", str(work["a"]), "--out", str(tmp_path),
+                     "--set", "run=r"] + FAST)
+    assert code == 4
+    assert ("numerical failure: [phase: prediction] injected in worker"
+            in capsys.readouterr().err)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_eval_rejects_a_ver1_checkpoint_with_appearance_sections(
         work, tmp_path, capsys):
     # ver1 and ver3 checkpoints written while every variant built the
@@ -641,20 +663,26 @@ def test_eval_rejects_options_it_never_reads(work, tmp_path, flags):
 def _ablate_recording(argv, change_child=None):
     """Run ``ablate`` in this process with every child it starts recorded;
     ``change_child`` may rewrite a child's argv.  Returns (exit code,
-    stdout, the children's Popen objects)."""
-    started = []
-    real_popen = subprocess.Popen
+    stdout, the children's Popen objects, the CPUs each was given)."""
+    started, shares = [], []
+    real_popen, real_setaffinity = subprocess.Popen, os.sched_setaffinity
 
     def popen(args, **kwargs):
         started.append(real_popen(change_child(args) if change_child else args,
                                   **kwargs))
         return started[-1]
 
+    def setaffinity(pid, cpus):
+        assert pid == started[-1].pid
+        shares.append(sorted(cpus))
+        real_setaffinity(pid, cpus)
+
     buf = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf):
         mp.setattr(cli.subprocess, "Popen", popen)
+        mp.setattr(cli.os, "sched_setaffinity", setaffinity)
         code = cli.main(["ablate"] + argv)
-    return code, buf.getvalue(), started
+    return code, buf.getvalue(), started, shares
 
 
 def _assert_all_exited(started):
@@ -669,10 +697,11 @@ def _assert_all_exited(started):
 def ablated(work, tmp_path_factory):
     """One ablate run at the FAST config, shared by the read-only tests."""
     out = tmp_path_factory.mktemp("ablate") / "ab"
-    code, stdout, started = _ablate_recording(
+    code, stdout, started, shares = _ablate_recording(
         ["--data", str(work["a"]), "--targets", str(work["c"]),
          "--out", str(out)] + FAST)
-    return {"code": code, "out": out, "stdout": stdout, "started": started}
+    return {"code": code, "out": out, "stdout": stdout, "started": started,
+            "shares": shares}
 
 
 def test_ablate_table_shape(ablated):
@@ -705,6 +734,17 @@ def test_ablate_leaves_no_child_running(ablated):
     _assert_all_exited(ablated["started"])
 
 
+def test_ablate_gives_each_running_child_cpus_of_its_own(ablated):
+    # Each child's steps fork one worker per CPU it may use, so children
+    # sharing CPUs would run more busy processes than there are CPUs.
+    cpus = sorted(os.sched_getaffinity(0))
+    shares = ablated["shares"]
+    first = shares[:min(len(pl.VERSION_TOGGLES), len(cpus))]
+    assert len(shares) == len(pl.VERSION_TOGGLES)
+    assert sorted(cpu for share in first for cpu in share) == cpus
+    assert all(share in first for share in shares)
+
+
 def test_ablate_stops_at_a_failed_child_with_its_code(work, tmp_path, capsys):
     # ver5 starts first; a batch size of 0 makes its train exit 2 while
     # another fit may still be running.
@@ -712,7 +752,7 @@ def test_ablate_stops_at_a_failed_child_with_its_code(work, tmp_path, capsys):
         return argv + ["--set", "batch_size=0"] if "run=ver5" in argv else argv
 
     out = tmp_path / "ab"
-    code, _, started = _ablate_recording(
+    code, _, started, _ = _ablate_recording(
         ["--data", str(work["a"]), "--targets", str(work["c"]),
          "--out", str(out)] + FAST, break_ver5)
     assert code == 2
@@ -1218,6 +1258,20 @@ def test_closed_stdout_exits_141_quietly(work):
     _, err = child.communicate(timeout=120)
     assert err == b""
     assert child.returncode == 141
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1 1"), ("3", "3 1")])
+def test_the_cli_runs_one_blas_thread_unless_told_otherwise(preset, want):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import flowseg.cli, os; print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "os.environ['OMP_NUM_THREADS'])")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == want.split()
 
 
 def test_usage_errors_exit_2():

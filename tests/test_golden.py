@@ -76,71 +76,73 @@ def resumed_ckpt_sha(version: str, out_dir) -> str:
 
 PINS = {
     "ver1": {
-        "ckpt": "678ae35042b7c1793b74513ed0ca79ee862119b34732b739ab388d0b38d1e70e",
+        "ckpt": "da7f3735ba383233104919cf1bb79659363c1b1fae4ba7c8609164250ee0391e",
         "history": [
-            ("epoch=0 dice_val=0.3066881731474003"
-             " recon=1.742175985972846 kl_y=0.0 kl_z=3.4979097961945147"
-             " kl_x=0.0 kl_m=0.0 loss=1.8275741743565013"),
-            ("epoch=1 dice_val=0.264774961371708"
-             " recon=1.7154308342366578 kl_y=0.0 kl_z=3.0593549314428565"
-             " kl_x=0.0 kl_m=0.0 loss=1.7901221167425867"),
+            ("epoch=0 dice_val=0.33955681904798474"
+             " recon=1.7089225235442338 kl_y=0.0 kl_z=3.5499973682261436"
+             " kl_x=0.0 kl_m=0.0 loss=1.7955923811669423"),
+            ("epoch=1 dice_val=0.2956500136550971 recon=1.7454911251108403"
+             " kl_y=0.0 kl_z=3.0695704809311337 kl_x=0.0 kl_m=0.0"
+             " loss=1.820431810680448"),
         ],
-        "posterior_mean": "1e3f0b30100cbfec2a611d6a32f9bad40e3fbd50a5828d183354f9ab3f4cf606",
+        "posterior_mean": "30e88fb67191ba7c2769a3fc4b8c6ce5ed7e4ee7fa83ea5ba8105d2ad076274a",
     },
     "ver2": {
-        "ckpt": "9817a2aa3466f607014e494d3070572dc2985a3c07a36694ec5cd6ff44f9a8f7",
+        "ckpt": "b64f4fe31c35276de8013b0294c6c0d0589b0ddb86b6272be77bfdcd43cdd557",
         "history": [
-            ("epoch=0 dice_val=0.003289473684210526"
-             " recon=1.659875543966078 kl_y=20455.689310387465"
-             " kl_z=31.984379806223362 kl_x=24575.99975577954"
-             " kl_m=4132.743935726734 loss=1202.7442842768753"),
-            ("epoch=1 dice_val=0.0 recon=1.641530859779003"
-             " kl_y=20457.650645408976 kl_z=31.98437980150615"
-             " kl_x=24575.99975488786 kl_m=4104.384213009481"
-             " loss=1202.0814476837004"),
+            ("epoch=0 dice_val=0.030442667851062255"
+             " recon=1.6382017893584024 kl_y=20459.821067538796"
+             " kl_z=31.984379805776012 kl_x=24575.999755768862"
+             " kl_m=4133.407027062595 loss=1202.8396722526402"),
+            ("epoch=1 dice_val=0.009393939393939394"
+             " recon=1.6651314870516012 kl_y=20463.96417557234"
+             " kl_z=31.98437980043792 kl_x=24575.99975482063"
+             " kl_m=4106.577873009638 loss=1202.3127433816574"),
         ],
-        "posterior_mean": "8c57a9c739f95b65ff04b43cb6e93f7ec9a707e2d0acb7ceca7150de15ee9add",
+        "posterior_mean": "0eeb8611182312b6d01dc49f419e31c2e749fca72911334a41cb3778b3dfbdfa",
     },
     "ver3": {
-        "ckpt": "c36cfca9bddcdb1d8aea79ea7502cf19d23d54d0d832b21d140517b869071fdd",
+        "ckpt": "823a10207c722761abe7c143eeca3ca8134d89610a12b600b34081a67cde57c9",
         "history": [
-            ("epoch=0 dice_val=0.3623569261603902"
-             " recon=1.662245612249399 kl_y=0.0 kl_z=3.016578000895393"
-             " kl_x=0.0 kl_m=0.0 loss=1.735892536099384"),
-            ("epoch=1 dice_val=0.34241987462401796"
-             " recon=1.6632559097514903 kl_y=0.0 kl_z=2.622985797761864"
-             " kl_x=0.0 kl_m=0.0 loss=1.7272936489546604"),
+            ("epoch=0 dice_val=0.35484154291859116"
+             " recon=1.6543803479766357 kl_y=0.0 kl_z=3.0776420018084694"
+             " kl_x=0.0 kl_m=0.0 loss=1.7295180921614126"),
+            ("epoch=1 dice_val=0.3360821360339443 recon=1.644017918849525"
+             " kl_y=0.0 kl_z=2.5843221108105134 kl_x=0.0 kl_m=0.0"
+             " loss=1.7071117203829846"),
         ],
-        "posterior_mean": "d982c1de7fe0b0e96002d84b754314e60d5b758dccb56d8701a90a815235f31e",
+        "posterior_mean": "72534f43f07ecf202fbbabeaccda8d5a316323faed9559bbab646b6a99134eb3",
     },
     "ver4": {
-        "ckpt": "4ef8670a1bc0d982ca2df38335a6e43240f30af9079c8bfefb73ab6e1fa8fa2f",
+        "ckpt": "cafd2e64b57a496cabc01287d98b58c38037dd49ded742860ff0cbc1bada02bc",
         "history": [
-            ("epoch=0 dice_val=0.06751595059500834"
-             " recon=1.7276411278811035 kl_y=20460.374725140868"
-             " kl_z=31.98437980620857 kl_x=24575.999755757293"
-             " kl_m=4148.400111026752 flow_kl=3.480641019041932e-05"
-             " loss=1203.3121513521794"),
-            ("epoch=1 dice_val=0.045279593318809 recon=1.7102871733089804"
-             " kl_y=20460.689024892254 kl_z=31.98437980267562"
-             " kl_x=24575.999754791934 kl_m=4139.806670924649"
-             " flow_kl=0.00025540765477100974 loss=1203.1147300484422"),
+            ("epoch=0 dice_val=0.14700767742777823"
+             " recon=1.7537681266653067 kl_y=20460.694627649416"
+             " kl_z=31.984379807149384 kl_x=24575.99975574474"
+             " kl_m=4147.957388290833 flow_kl=-0.0002948578721405539"
+             " loss=1203.3023133817399"),
+            ("epoch=1 dice_val=0.080085288921322 recon=1.7240173718405167"
+             " kl_y=20461.455119479884 kl_z=31.984379802539078"
+             " kl_x=24575.99975477277 kl_m=4132.328036487564"
+             " flow_kl=0.00046411840372103465 loss=1202.985450953979"),
         ],
-        "posterior_mean": "f1b6add6f6c330d247924d24ca311e87c2ef03d44811085843ed0aa4f446deab",
+        "posterior_mean": "2d13d56b9e459441aa779f868bb5f827d3998205e1ff68d9deba4777dd4390ad",
     },
     "ver5": {
-        "ckpt": "3c91b7a833cb6f9f86a3fcd87720e955ff37288856ffb83e6318ff9414b22bdd",
+        "ckpt": "61cdcb3b777a95a06fa51aeb2f1030cb34e9ac6fe89b0d8748fdcbe16709d4d6",
         "history": [
-            ("epoch=0 dice_val=0.0 recon=1.6379963755438058"
-             " kl_y=20453.1951431139 kl_z=31.98437980554497"
-             " kl_x=24575.9997557731 kl_m=4132.574799883702"
-             " flow_kl=-1.0608468653242284e-05 loss=1202.656322212669"),
-            ("epoch=1 dice_val=0.0 recon=1.6239019332581375"
-             " kl_y=20462.410457552058 kl_z=31.984379801458406"
-             " kl_x=24575.999754868633 kl_m=4103.918425277106"
-             " flow_kl=0.0003465150534906018 loss=1202.2033048423975"),
+            ("epoch=0 dice_val=0.030442667851062255"
+             " recon=1.6385450184837211 kl_y=20459.821067520563"
+             " kl_z=31.984379805787075 kl_x=24575.999755768862"
+             " kl_m=4133.407027062595 flow_kl=-0.0002948484110377794"
+             " loss=1202.810530640217"),
+            ("epoch=1 dice_val=0.009393939393939394"
+             " recon=1.6662660518214694 kl_y=20463.96417565725"
+             " kl_z=31.984379800421127 kl_x=24575.99975482063"
+             " kl_m=4106.577873018326 flow_kl=0.0004640675440568994"
+             " loss=1202.3602847031173"),
         ],
-        "posterior_mean": "2b00082be379014d7c949ddea6ce2c7f99cf4f435c87f13b90f5f14216b3a403",
+        "posterior_mean": "f92637094d2916aa45b5113bb4a13c5a9a307d4ef4e039b510db9cae7077e1e2",
     },
 }
 

@@ -3,6 +3,7 @@
 import copy
 import os
 import re
+import select
 import struct
 import time
 import tracemalloc
@@ -815,6 +816,108 @@ def test_a_failed_fork_leaks_no_pipe_and_reaps_the_workers(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("version", ["ver1", "ver5"])
+def test_fit_on_workers_is_the_serial_fit_to_the_bit(monkeypatch, tmp_path, version):
+    # 13 training images at B=4: the last batch holds one image, fewer than
+    # the CPUs.  Each step forks min(cpus, B) - 1 workers, and each
+    # validation min(cpus, 4) - 1.
+    samples = _toy_samples(17, 16, 16, seed=6)
+    cfg = pl.config_for_version(_tiny_cfg(epochs=2), version)
+    runs = []
+    for cpus in (1, 2, 5):
+        forked = _cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        _, history = pl.fit(samples[:13], samples[13:], cfg, out_dir=out)
+        forks = sum(min(cpus, b) - 1 for b in (4, 4, 4, 1)) + min(cpus, 4) - 1
+        assert len(forked) == 2 * forks
+        _assert_no_child_left()
+        runs.append((history, (out / "ckpt-last.dbfc").read_bytes(),
+                     (out / "ckpt-best.dbfc").read_bytes()))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def _in_workers(monkeypatch, name, fail):
+    """Make ``pl.<name>`` call ``fail()`` in a forked process only."""
+    real, parent = getattr(pl, name), os.getpid()
+
+    def patched(*args):
+        if os.getpid() != parent:
+            fail()
+        return real(*args)
+
+    monkeypatch.setattr(pl, name, patched)
+
+
+def _step(samples):
+    cfg = _tiny_cfg()
+    model = pl.Model(cfg)
+    opt = pl.Adam(model.named_params(), cfg.learning_rate)
+    return pl.train_step(samples, model, opt, np.random.default_rng(0)), opt
+
+
+def test_a_train_step_on_workers_leaves_no_child(monkeypatch):
+    forked = _cpus(monkeypatch, 3)
+    terms, opt = _step(_toy_samples(4, 16, 16))
+    assert len(forked) == 2 and opt.t == 1 and np.isfinite(terms["loss"])
+    _assert_no_child_left()
+
+
+# gumbel_softmax runs in phase one, backward in phase two.
+@pytest.mark.parametrize("name", ["gumbel_softmax", "backward"])
+def test_a_training_worker_that_dies_without_a_reply(monkeypatch, name):
+    _in_workers(monkeypatch, name, lambda: os._exit(7))
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="ended with status 7 and no reply"):
+        _step(_toy_samples(4, 16, 16))
+    _assert_no_child_left()
+
+
+def test_a_training_worker_exception_names_its_phase(monkeypatch):
+    def fail():
+        raise dc.NonFiniteError(f"injected in {os.getpid()}")
+
+    _in_workers(monkeypatch, "gumbel_softmax", fail)
+    forked = _cpus(monkeypatch, 2)
+    with pytest.raises(dc.NonFiniteError) as info:
+        _step(_toy_samples(4, 16, 16))
+    assert str(info.value).startswith(
+        f"[phase: prediction] injected in {forked[0]}; terms so far: ")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_error_between_the_phases_stops_every_worker(monkeypatch, error):
+    # The workers wait for the batch's RN weights, which never come.
+    def weigh(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(pl, "_weigh", weigh)
+    forked = _cpus(monkeypatch, 3)
+    start = time.perf_counter()
+    with pytest.raises(error, match="injected"):
+        _step(_toy_samples(4, 16, 16))
+    assert time.perf_counter() - start < 30
+    assert len(forked) == 2
+    _assert_no_child_left()
+
+
+def test_a_worker_whose_caller_has_gone_ends():
+    # A worker waiting on ask must not wait forever once its caller is
+    # gone, as when a killed `flowseg train` leaves its worker behind.
+    worker = pl._Worker(lambda ask: ask("rows"))
+    try:
+        assert worker.reply() == "rows"
+        worker._orders.close()
+        ready, _, _ = select.select([worker._replies], [], [], 30)
+        assert ready, "the worker still waits for its caller"
+        with pytest.raises(EOFError):
+            worker.reply()
+    finally:
+        worker.stop()
+    _assert_no_child_left()
+
+
 def test_scoring_walks_no_tensor_list(monkeypatch):
     # predict asks each image's view for its frozen view; a view answers by
     # its class, without listing its tensors.
@@ -1019,8 +1122,9 @@ def test_tape_size_does_not_grow_with_sde_steps(monkeypatch):
         cfg = _tiny_cfg(sde_steps=n_steps, batch_size=2)
         model = pl.Model(cfg)
         opt = pl.Adam(model.named_params(), cfg.learning_rate)
+        roots.clear()
         pl.train_step(samples, model, opt, np.random.default_rng(0))
-        nodes = dc.trace(roots[-1])
+        nodes = dc.trace(roots[0])  # the first item's tape
         op_nodes.append(sum(n.backward is not None for n in nodes))
         kept = [sum(isinstance(c.cell_contents, np.ndarray) for c in n.backward.__closure__)
                 for n in nodes
@@ -1039,39 +1143,41 @@ def test_no_conv_output_stays_on_a_training_tape(monkeypatch):
         alive.append([i for i, r in enumerate(outputs) if r() is not None])
         real_backward(loss)
     monkeypatch.setattr(pl, "backward", backward)
+    _cpus(monkeypatch, 1)
     model = pl.Model(pl.config_for_version(_tiny_cfg(batch_size=2), "ver5"))
     pl.train_step(_toy_samples(2, 16, 16), model, pl.Adam(model.named_params(), 0.1),
                   np.random.default_rng(0))
-    # two encoders of seven convs and a U-Net of twelve
-    assert len(outputs) == 26
-    assert alive == [[]]
+    # per item, two encoders of seven convs and a U-Net of twelve; a backward
+    # walk for each item's tape, then one for the flow KL's
+    assert len(outputs) == 2 * 26
+    assert alive == [[]] * 3
 
 
 def test_a_training_tape_keeps_only_what_backward_reads(monkeypatch):
     # One ver5 tape at B=8, 64x64 and the default config held 103.6 MB of
     # distinct buffers while each node kept its parents' values alive, and
-    # holds 64.0 MB of the values its closures read (and the few the step
-    # still holds when it calls backward).
+    # 64.0 MB of the values its closures read (and the few the step still
+    # held when it called backward).  Each item now has a tape of its own,
+    # which holds 8.2 MB, an eighth of that plus the parameters.
     nbytes, real_backward = [], pl.backward
 
     def backward(loss):
         nbytes.append(dc.tape_nbytes(loss))
         real_backward(loss)
     monkeypatch.setattr(pl, "backward", backward)
+    _cpus(monkeypatch, 1)
     model = pl.Model(pl.ModelConfig())
     pl.train_step(_toy_samples(8, 64, 64), model, pl.Adam(model.named_params(), 0.1),
                   np.random.default_rng(0))
-    assert len(nbytes) == 1 and 57e6 < nbytes[0] < 71e6, f"tape {nbytes[0] / 1e6:.1f} MB"
+    assert len(nbytes) == 9, nbytes  # eight items, then the flow KL
+    assert all(57e6 / 8 < n < 71e6 / 8 for n in nbytes[:8]), nbytes
 
 
-def test_train_step_peak_memory_guard():
-    # One ver5 step at B=8, 64x64 and the default config peaked at 303 MiB of
-    # traced allocations while each OU step kept five nodes and each conv
-    # closure a padded input, at 214 MiB while each bias add before a tanh
-    # kept its sum, at 173 MiB while each conv output stayed on the tape for
-    # its bias add to name, at 121.5 MiB while each node kept its parents'
-    # values, at 85.5 MiB while each OU path's closure kept its Wiener
-    # increments, and at 78.5 MiB since it keeps their Horner sum alone.
+def _step_peak(monkeypatch, cpus):
+    """tracemalloc's peak over one default-config ver5 step at B=8, 64x64
+    with ``cpus`` usable CPUs.  tracemalloc sees only this process, so with
+    workers it measures the caller's share of the items."""
+    _cpus(monkeypatch, cpus)
     cfg = pl.ModelConfig()
     samples = _toy_samples(8, 64, 64)
     model = pl.Model(cfg)
@@ -1079,10 +1185,30 @@ def test_train_step_peak_memory_guard():
     tracemalloc.start()
     try:
         pl.train_step(samples, model, opt, np.random.default_rng(0))
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_train_step_peak_memory_guard(monkeypatch):
+    # One ver5 step at B=8, 64x64 and the default config peaked at 303 MiB of
+    # traced allocations while each OU step kept five nodes and each conv
+    # closure a padded input, at 214 MiB while each bias add before a tanh
+    # kept its sum, at 173 MiB while each conv output stayed on the tape for
+    # its bias add to name, at 121.5 MiB while each node kept its parents'
+    # values, at 85.5 MiB while each OU path's closure kept its Wiener
+    # increments, at 78.5 MiB while it kept their Horner sum alone, and at
+    # 71.0 MiB since each item has a tape of its own.  One CPU, so that this
+    # process holds every item's tape.
+    peak = _step_peak(monkeypatch, 1)
     assert peak < 87 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_a_step_on_two_cpus_holds_half_the_tapes_here(monkeypatch):
+    # The caller keeps only its own chunk's tapes: 37.3 against 71.0 MiB.
+    single, split = _step_peak(monkeypatch, 1), _step_peak(monkeypatch, 2)
+    assert split < 0.6 * single, f"{split / 2**20:.1f} of {single / 2**20:.1f} MiB"
+    _assert_no_child_left()
 
 
 # -- checkpoints -------------------------------------------------------------------------
