@@ -22,9 +22,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import argparse
 import csv
 import io
-import subprocess
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -192,19 +190,13 @@ def _train_common(args, cfg: dict, explicit: set, ckpt=None):
     return cfg, samples, *_split_train_val(samples)
 
 
-def cmd_train(args) -> int:
-    cfg, explicit = effective_config(args)
-    if cfg["run"] in ("", ".", "..") or Path(cfg["run"]).name != cfg["run"]:
-        raise ConfigError(
-            f"run must name one directory inside --out, got {cfg['run']!r}")
-    ckpt = checkpoint_load(args.resume) if args.resume else None
-    cfg, _, train_samples, val_samples = _train_common(args, cfg, explicit, ckpt)
+def _fit_run(cfg: dict, train_samples, val_samples, run_dir: Path, resume=None):
+    """``fit`` of ``cfg`` into ``run_dir``, which gets the config's echo first
+    and a ``metrics.csv`` rewritten as each epoch ends, so a run that dies
+    keeps its record; returns what ``fit`` returns."""
     model_cfg = config_from_items(cfg)
-    run_dir = Path(args.out) / cfg["run"]
     run_dir.mkdir(parents=True, exist_ok=True)
     write_config_echo(cfg, run_dir / "config.echo")
-
-    # Rewritten as each epoch ends, so a run that dies keeps its record.
     history: list[dict] = []
 
     def record(row):
@@ -214,8 +206,19 @@ def cmd_train(args) -> int:
         print(f"epoch {row['epoch']}: loss {row['loss']:.4f} "
               f"dice {row['dice_val']:.4f}", flush=True)
 
-    fit(train_samples, val_samples, model_cfg, out_dir=run_dir,
-        resume=ckpt, progress=record)
+    return fit(train_samples, val_samples, model_cfg, out_dir=run_dir,
+               resume=resume, progress=record)
+
+
+def cmd_train(args) -> int:
+    cfg, explicit = effective_config(args)
+    if cfg["run"] in ("", ".", "..") or Path(cfg["run"]).name != cfg["run"]:
+        raise ConfigError(
+            f"run must name one directory inside --out, got {cfg['run']!r}")
+    ckpt = checkpoint_load(args.resume) if args.resume else None
+    cfg, _, train_samples, val_samples = _train_common(args, cfg, explicit, ckpt)
+    run_dir = Path(args.out) / cfg["run"]
+    _, history = _fit_run(cfg, train_samples, val_samples, run_dir, ckpt)
     best = max(row["dice_val"] for row in history)
     print(f"best validation dice {best:.4f}; artifacts in {run_dir}")
     return 0
@@ -237,38 +240,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _start_fit(args, out: Path, version: str, cpus: list[int]) -> subprocess.Popen:
-    """``flowseg train`` of one version as a child on ``cpus``, its output in
-    ``<out>/<version>.log``.  The directory holding this package goes first
-    on the child's path, so it runs this code whatever its cwd."""
-    toggles = zip(TOGGLES, VERSION_TOGGLES[version])
-    sets = [f"{k}={format_value(on)}" for k, on in toggles] + [f"run={version}"]
-    argv = [sys.executable, "-m", "flowseg.cli", "train", "--data", args.data,
-            "--config", str(out / "config.echo"), "--out", str(out),
-            *(["--val", args.val] if args.val else []),
-            *[a for s in sets for a in ("--set", s)]]
-    path = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    with open(out / f"{version}.log", "w") as log:
-        proc = subprocess.Popen(argv, stdout=log, stderr=subprocess.STDOUT, env=env)
-    os.sched_setaffinity(proc.pid, cpus)
-    return proc
-
-
-def _next_exit(running: dict[str, subprocess.Popen]) -> tuple[str, int]:
-    """Wait for a child in ``running`` to exit; remove it and return its
-    version and exit code."""
-    while not (done := [v for v, p in running.items() if p.poll() is not None]):
-        time.sleep(0.02)
-    return done[0], running.pop(done[0]).returncode
-
-
 def cmd_ablate(args) -> int:
     if not args.targets:
         raise ConfigError("ablate needs at least one target dataset")
     cfg, explicit = effective_config(args)
-    cfg, source, _, _ = _train_common(args, cfg, explicit)
-    config_from_items(cfg)  # a bad value exits 2 before any child starts
+    cfg, source, train_samples, val_samples = _train_common(args, cfg, explicit)
+    config_from_items(cfg)  # a bad value exits 2 before anything is written
     # The source column is measured on the full source file so the row is
     # reproducible by a standalone train + eval with the same seed.
     eval_sets = [(Path(args.data).stem, source)]
@@ -278,42 +255,21 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_config_echo(cfg, out / "config.echo")
 
-    # Each version is a `flowseg train` child, one per CPU this process may
-    # use.  ver5 starts first and ver1, whose steps cost about three fifths
-    # of ver5's, last; each checkpoint is scored here as its child exits.
-    # Each running child has its own share of the CPUs, which its steps
-    # spread over, so that no two children's processes contend for one CPU;
-    # the split changes no output bit.
-    pending = sorted(VERSION_TOGGLES)
-    cpus = sorted(os.sched_getaffinity(0))
-    slots = min(len(pending), len(cpus))
-    free = [cpus[i::slots] for i in range(slots)]
-    shares: dict[str, list[int]] = {}
-    running: dict[str, subprocess.Popen] = {}
+    # The versions fit here one after another, ver5 first, each into the
+    # run directory that a standalone `train` of this config with its
+    # toggles writes; every step spreads over every CPU.  fit returns the
+    # model of ckpt-best.dbfc, which is scored as its fit ends.
     dices: dict[str, list[float]] = {}
-
-    def fill():
-        while pending and free:
-            version = pending.pop()
-            shares[version] = free.pop()
-            running[version] = _start_fit(args, out, version, shares[version])
-
-    try:
-        fill()
-        while running:
-            version, code = _next_exit(running)
-            free.append(shares.pop(version))
-            if code:
-                print(f"error: ablate {version} exited {code}; see "
-                      f"{out / f'{version}.log'}", file=sys.stderr)
-                return code if code > 0 else 128 - code
-            fill()
-            model = checkpoint_load(out / version / "ckpt-best.dbfc")[0]
-            dices[version] = [evaluate(s, model) for _, s in eval_sets]
-    finally:
-        for proc in running.values():
-            proc.kill()
-            proc.wait()
+    for version in sorted(VERSION_TOGGLES, reverse=True):
+        print(f"{version}: fitting into {out / version}", flush=True)
+        toggles = dict(zip(TOGGLES, VERSION_TOGGLES[version]))
+        try:
+            model, _ = _fit_run({**cfg, **toggles, "run": version},
+                                train_samples, val_samples, out / version)
+        except Exception:
+            print(f"error: ablate {version} failed", file=sys.stderr)
+            raise
+        dices[version] = [evaluate(s, model) for _, s in eval_sets]
 
     header = ["version", *TOGGLES, *(name for name, _ in eval_sets), "avg_targets"]
     rows: list[list] = []

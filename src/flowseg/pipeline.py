@@ -725,12 +725,23 @@ class _Worker:
             self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform
+    has one (not macOS), else every CPU; 1 where it cannot fork (Windows)."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @contextmanager
 def _workers(n: int, task):
     """Split range(n) into one contiguous chunk per usable CPU and fork a
     ``_Worker`` running ``task(lo, hi, ask)`` on each chunk but the first;
     yields (the first chunk's end, the workers), and stops them all on exit."""
-    cpus = min(len(os.sched_getaffinity(0)), n)
+    cpus = min(_usable_cpus(), n)
     cuts = [n * i // cpus for i in range(cpus + 1)]
     workers = []
     try:

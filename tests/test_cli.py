@@ -625,6 +625,22 @@ def test_train_exits_4_on_a_numerical_failure_in_a_worker(work, tmp_path, capsys
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+def test_train_runs_where_the_platform_lacks_affinity_or_fork(
+        work, tmp_path, monkeypatch, missing):
+    # macOS has no affinity call and Windows no fork; neither may change a
+    # byte of the checkpoint.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, missing)
+    code = cli.main(["train", "--data", str(work["a"]), "--out", str(tmp_path),
+                     "--set", "run=r"] + FAST)
+    assert code == 0
+    assert (tmp_path / "r" / "ckpt-best.dbfc").read_bytes() == \
+        work["ckpt"].read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_eval_rejects_a_ver1_checkpoint_with_appearance_sections(
         work, tmp_path, capsys):
     # ver1 and ver3 checkpoints written while every variant built the
@@ -660,48 +676,15 @@ def test_eval_rejects_options_it_never_reads(work, tmp_path, flags):
 # -- ablate ------------------------------------------------------------------------
 
 
-def _ablate_recording(argv, change_child=None):
-    """Run ``ablate`` in this process with every child it starts recorded;
-    ``change_child`` may rewrite a child's argv.  Returns (exit code,
-    stdout, the children's Popen objects, the CPUs each was given)."""
-    started, shares = [], []
-    real_popen, real_setaffinity = subprocess.Popen, os.sched_setaffinity
-
-    def popen(args, **kwargs):
-        started.append(real_popen(change_child(args) if change_child else args,
-                                  **kwargs))
-        return started[-1]
-
-    def setaffinity(pid, cpus):
-        assert pid == started[-1].pid
-        shares.append(sorted(cpus))
-        real_setaffinity(pid, cpus)
-
-    buf = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf):
-        mp.setattr(cli.subprocess, "Popen", popen)
-        mp.setattr(cli.os, "sched_setaffinity", setaffinity)
-        code = cli.main(["ablate"] + argv)
-    return code, buf.getvalue(), started, shares
-
-
-def _assert_all_exited(started):
-    assert started
-    for proc in started:
-        assert proc.returncode is not None
-        with pytest.raises(ProcessLookupError):  # reaped, not a zombie
-            os.kill(proc.pid, 0)
-
-
 @pytest.fixture(scope="module")
 def ablated(work, tmp_path_factory):
     """One ablate run at the FAST config, shared by the read-only tests."""
     out = tmp_path_factory.mktemp("ablate") / "ab"
-    code, stdout, started, shares = _ablate_recording(
-        ["--data", str(work["a"]), "--targets", str(work["c"]),
-         "--out", str(out)] + FAST)
-    return {"code": code, "out": out, "stdout": stdout, "started": started,
-            "shares": shares}
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["ablate", "--data", str(work["a"]),
+                         "--targets", str(work["c"]), "--out", str(out)] + FAST)
+    return {"code": code, "out": out, "stdout": buf.getvalue()}
 
 
 def test_ablate_table_shape(ablated):
@@ -717,58 +700,49 @@ def test_ablate_table_shape(ablated):
     for r in rows[1:]:
         assert abs(float(r[6]) - float(r[5])) < 1e-9  # single target
         assert 0.0 <= float(r[4]) <= 1.0
-    stdout = ablated["stdout"]
-    assert stdout.count("✓") == 9 and stdout.count("×") == 6
-    assert [line.split()[0] for line in stdout.splitlines()[:5]] == \
-        [r[0] for r in rows[1:]]
-    assert "not gated" in stdout
+    # The fits' epoch lines come first, then the table, then the difference.
+    lines = ablated["stdout"].splitlines()
+    assert lines[-1].startswith("ver5 - ver1 target average:")
+    assert "not gated" in lines[-1]
+    table = lines[-6:-1]
+    assert [line.split()[0] for line in table] == [r[0] for r in rows[1:]]
+    assert "".join(table).count("✓") == 9 and "".join(table).count("×") == 6
     assert (out / "config.echo").exists()
     for version in pl.VERSION_TOGGLES:
-        assert (out / f"{version}.log").exists()
         assert (out / version / "ckpt-best.dbfc").exists()
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted(["ablate.csv", "config.echo", *pl.VERSION_TOGGLES])
 
 
-def test_ablate_leaves_no_child_running(ablated):
-    assert ablated["code"] == 0
-    assert len(ablated["started"]) == len(pl.VERSION_TOGGLES)
-    _assert_all_exited(ablated["started"])
+def test_ablate_stops_at_a_failed_fit_with_its_code(work, tmp_path, capsys,
+                                                    monkeypatch):
+    # ver5 fits first; a NonFiniteError in a worker of its first step must
+    # reach main as exit 4, start no other fit and leave no worker behind.
+    real_gumbel, parent = pl.gumbel_softmax, os.getpid()
 
+    def gumbel_softmax(*args):
+        if os.getpid() != parent:
+            raise NonFiniteError(f"injected in worker {os.getpid()}")
+        return real_gumbel(*args)
 
-def test_ablate_gives_each_running_child_cpus_of_its_own(ablated):
-    # Each child's steps fork one worker per CPU it may use, so children
-    # sharing CPUs would run more busy processes than there are CPUs.
-    cpus = sorted(os.sched_getaffinity(0))
-    shares = ablated["shares"]
-    first = shares[:min(len(pl.VERSION_TOGGLES), len(cpus))]
-    assert len(shares) == len(pl.VERSION_TOGGLES)
-    assert sorted(cpu for share in first for cpu in share) == cpus
-    assert all(share in first for share in shares)
-
-
-def test_ablate_stops_at_a_failed_child_with_its_code(work, tmp_path, capsys):
-    # ver5 starts first; a batch size of 0 makes its train exit 2 while
-    # another fit may still be running.
-    def break_ver5(argv):
-        return argv + ["--set", "batch_size=0"] if "run=ver5" in argv else argv
-
+    monkeypatch.setattr(pl, "gumbel_softmax", gumbel_softmax)
+    monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "ab"
-    code, _, started, _ = _ablate_recording(
-        ["--data", str(work["a"]), "--targets", str(work["c"]),
-         "--out", str(out)] + FAST, break_ver5)
-    assert code == 2
-    assert f"ablate ver5 exited 2; see {out / 'ver5.log'}" in \
-        capsys.readouterr().err
-    assert "batch_size" in (out / "ver5.log").read_text()
+    code = cli.main(["ablate", "--data", str(work["a"]),
+                     "--targets", str(work["c"]), "--out", str(out)] + FAST)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error: ablate ver5 failed" in err
+    assert "numerical failure: [phase: prediction] injected in worker" in err
     assert not (out / "ablate.csv").exists()
-    _assert_all_exited(started)
+    assert sorted(p.name for p in out.iterdir()) == ["config.echo", "ver5"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_ablate_runs_from_another_directory_with_a_relative_pythonpath(
+def test_ablate_runs_from_another_directory_with_relative_paths(
         work, ablated, tmp_path, monkeypatch):
-    # The children import flowseg through the package's absolute directory,
-    # which goes before the relative entry that no longer resolves.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("PYTHONPATH", "src")
     code = cli.main(["ablate", "--data", os.path.relpath(work["a"]),
                      "--targets", os.path.relpath(work["c"]),
                      "--out", "ab"] + FAST)
@@ -1302,3 +1276,8 @@ def test_every_ablate_row_matches_standalone_train_and_eval(work, ablated,
         eval_rows = {r[0]: r[1] for r in _read_csv(ecsv)[1:]}
         assert row[4:] == [eval_rows["doma"], eval_rows["domc"],
                            eval_rows["avg_targets"]], version
+        # The whole run directory, not only the row, is the standalone run's.
+        for name in ("ckpt-best.dbfc", "ckpt-last.dbfc", "metrics.csv",
+                     "config.echo"):
+            assert (ablated["out"] / version / name).read_bytes() == \
+                (out / version / name).read_bytes(), (version, name)

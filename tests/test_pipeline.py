@@ -837,6 +837,33 @@ def test_fit_on_workers_is_the_serial_fit_to_the_bit(monkeypatch, tmp_path, vers
     assert runs[2] == runs[0]
 
 
+@pytest.mark.parametrize("missing, cpu_count, cpus", [
+    ("fork", 2, 1), ("sched_getaffinity", None, 1), ("sched_getaffinity", 2, 2)])
+def test_fit_where_the_platform_lacks_affinity_or_fork(
+        monkeypatch, tmp_path, missing, cpu_count, cpus):
+    # Without the affinity call (macOS) every CPU counts, one if their number
+    # is unknown; without fork (Windows) nothing forks.  Either way the bytes
+    # are the serial fit's.
+    samples = _toy_samples(17, 16, 16, seed=6)
+    cfg = _tiny_cfg(epochs=1)
+
+    def run(out):
+        _, history = pl.fit(samples[:13], samples[13:], cfg, out_dir=out)
+        _assert_no_child_left()
+        return (history, (out / "ckpt-last.dbfc").read_bytes(),
+                (out / "ckpt-best.dbfc").read_bytes())
+
+    _cpus(monkeypatch, 1)
+    serial = run(tmp_path / "serial")
+    monkeypatch.undo()
+    forked = _cpus(monkeypatch, 2)
+    monkeypatch.delattr(pl.os, missing)
+    monkeypatch.setattr(pl.os, "cpu_count", lambda: cpu_count)
+    assert run(tmp_path / missing) == serial
+    assert len(forked) == \
+        sum(min(cpus, b) - 1 for b in (4, 4, 4, 1)) + min(cpus, 4) - 1
+
+
 def _in_workers(monkeypatch, name, fail):
     """Make ``pl.<name>`` call ``fail()`` in a forked process only."""
     real, parent = getattr(pl, name), os.getpid()
