@@ -299,7 +299,7 @@ def cmd_sample_posterior(args) -> int:
         raise ConfigError(f"--m must be positive, got {args.m}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    image = samples[args.index].image[None, None, :, :]
+    image = samples[args.index].image
     seed = args.seed if args.seed is not None else model.cfg.seed
     rng = np.random.default_rng(seed)
 
@@ -309,7 +309,7 @@ def cmd_sample_posterior(args) -> int:
     for i in range(args.m):
         out = forward(image, model, "train", rng)
         labels.append(out.y_hat.data[0].argmax(axis=0))
-        log_weights.append(out.log_rn_weights[0])
+        log_weights.append(out.log_rn_weight)
         pgm_write(labels[-1], out_dir / f"sample_{i:02d}.pgm")
 
     stack = np.stack(labels)

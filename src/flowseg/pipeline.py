@@ -6,9 +6,10 @@ Girsanov weight (or by Gaussian reparameterization when that is off).  The
 shape latent drives a small U-shaped segmentation net whose logits the flow
 refines and Gumbel-Softmax discretizes during training.  ``training_loss``,
 the objective, adds closed-form KL penalties and the flow KL to Dice + CE.
-Each item of a batch draws from its own stream, so its loss and gradient
-depend on the parameters and that item alone, and ``train_step`` spreads the
-items over the usable CPUs as ``evaluate`` spreads its images.
+Every pass (``forward``, ``posterior_mean``) takes one (H, W) image.  Each
+item of a batch runs its own ``forward`` on its own stream, so its loss and
+gradient depend on the parameters and that item alone, and ``train_step``
+spreads the items over the usable CPUs as ``evaluate`` spreads its images.
 Evaluation (``posterior_mean``) takes every latent at its mean, so it runs
 only the shape stream and the U-Net and returns softmax(mu_z); it runs on a
 frozen view of the model (``Model.frozen``) and records no tape.
@@ -327,7 +328,7 @@ def _named_tensors(obj, path: str) -> list[tuple[str, Tensor]]:
 class PipelineOutputs:
     y_hat: Tensor
     kls: dict[str, Tensor]  # the KL penalties by name, in loss order
-    log_rn_weights: list[float]
+    log_rn_weight: float
 
 
 @contextmanager
@@ -339,57 +340,58 @@ def _phase(name: str):
 
 
 def _sample_latent(mu: Tensor, sigma: Tensor, cfg: ModelConfig,
-                   rng: np.random.Generator) -> tuple[Tensor, np.ndarray]:
-    """Draw one latent field; returns (sample, per-item mean log RN weight).
+                   rng: np.random.Generator) -> tuple[Tensor, float]:
+    """Draw one image's latent field; returns (sample, its mean log RN weight).
 
     The reparameterized draw has no path measure to reweight, so its log
-    weights are zero.
+    weight is zero.
     """
     if cfg.sde_girsanov:
         params = OuParams(mu=mu, sigma=sigma, horizon=cfg.sde_horizon,
                           n_steps=cfg.sde_steps)
         z, weight_field = sde_girsanov_sample_field(params, rng)
-        per_item = weight_field.mean(axis=tuple(range(1, weight_field.ndim)))
-        return z, per_item
+        return z, float(weight_field.mean())
     eps = rng.standard_normal(mu.shape)
-    return mu + sigma * Tensor(eps), np.zeros(mu.shape[0])
+    return mu + sigma * Tensor(eps), 0.0
 
 
-def _as_images(images, cfg: ModelConfig) -> Tensor:
-    t = images if isinstance(images, Tensor) else Tensor(np.asarray(images))
-    if t.ndim != 4 or t.shape[1] != 1 or t.shape[2:] != tuple(cfg.image_size):
-        raise ShapeError(
-            f"expected images of shape (B, 1, {cfg.image_size[0]}, "
-            f"{cfg.image_size[1]}), got {t.shape}")
-    return t
+def _as_image(image, cfg: ModelConfig) -> Tensor:
+    """One (H, W) image of the trained size, an array or a ``Tensor``, as the
+    (1, 1, H, W) tensor that the convolutions take."""
+    t = image if isinstance(image, Tensor) else Tensor(image)
+    if t.shape != tuple(cfg.image_size):
+        raise ShapeError(f"image shape {t.shape} does not match the trained size "
+                         f"{tuple(cfg.image_size)}")
+    return t.reshape((1, 1) + t.shape)
 
 
-def posterior_mean(images, model: Model) -> Tensor:
-    """Deterministic class probabilities softmax(mu_z) of the all-means path.
+def posterior_mean(image, model: Model) -> Tensor:
+    """Deterministic (K, H, W) class probabilities softmax(mu_z) of one
+    image's all-means path.
 
     With every latent at its mean the appearance latent and the noise model
     do not reach the prediction, so only the shape encoder and the U-Net
     run, up to their mean heads, on ``model.frozen()``: the call records no
-    tape, and each intermediate is freed as soon as it is consumed.  Each
-    image is computed alone, so a batch gives the bytes of its single images.
+    tape, and each intermediate is freed as soon as it is consumed.
     """
     model = model.frozen()
-    images = _as_images(images, model.cfg)
+    image = _as_image(image, model.cfg)
     with _phase("shape encoding"):
-        mu_x = model.shape_enc.head_mu(model.shape_enc.trunk(images))
+        mu_x = model.shape_enc.head_mu(model.shape_enc.trunk(image))
     with _phase("segmentation latent"):
         mu_z = model.seg.head_mu(model.seg.trunk(concat([mu_x] * 3, axis=1)))
     with _phase("prediction"):
-        return mu_z.softmax(axis=1)
+        return mu_z.softmax(axis=1).reshape(mu_z.shape[1:])
 
 
-def forward(images, model: Model, mode: str = "train",
+def forward(image, model: Model, mode: str = "train",
             rng: np.random.Generator | None = None) -> PipelineOutputs:
-    """One training pass of the eight-phase inference procedure.
+    """One training pass of the eight-phase inference procedure on one
+    (H, W) image.
 
-    Samples every latent, relaxes the prediction with Gumbel-Softmax and
-    computes the KL penalties.  ``mode`` must be ``"train"``; the
-    deterministic evaluation path is ``posterior_mean``.
+    Samples every latent, relaxes the prediction with Gumbel-Softmax into a
+    (1, K, H, W) ``y_hat`` and computes the KL penalties.  ``mode`` must be
+    ``"train"``; the deterministic evaluation path is ``posterior_mean``.
     """
     if mode != "train":
         raise ValueError(f"mode must be 'train', got {mode!r}; "
@@ -397,19 +399,18 @@ def forward(images, model: Model, mode: str = "train",
     if rng is None:
         raise ValueError("train mode requires an rng")
     cfg = model.cfg
-    images = _as_images(images, cfg)
-    b = images.shape[0]
+    image = _as_image(image, cfg)
     k = cfg.num_classes
 
-    log_w = np.zeros(b)
+    log_w = 0.0
     if cfg.ncvi:
         with _phase("appearance encoding"):
-            mu_m, lv_m = model.appearance(images)
+            mu_m, lv_m = model.appearance(image)
             sigma_m = (lv_m * 0.5).exp()
             m, log_w = _sample_latent(mu_m, sigma_m, cfg, rng)
 
     with _phase("shape encoding"):
-        mu_x, lv_x = model.shape_enc(images)
+        mu_x, lv_x = model.shape_enc(image)
         sigma_x = (lv_x * 0.5).exp()
         x, w = _sample_latent(mu_x, sigma_x, cfg, rng)
         log_w = log_w + w
@@ -425,9 +426,9 @@ def forward(images, model: Model, mode: str = "train",
         logits = z
         if cfg.nf_posterior:
             h, wd = cfg.image_size
-            rows = z.transpose((0, 2, 3, 1)).reshape((b * h * wd, k))
+            rows = z.transpose((0, 2, 3, 1)).reshape((h * wd, k))
             refined, _ = flow_push(model.flow, rows)
-            logits = refined.reshape((b, h, wd, k)).transpose((0, 3, 1, 2))
+            logits = refined.reshape((1, h, wd, k)).transpose((0, 3, 1, 2))
         y_hat = gumbel_softmax(logits, cfg.tau, rng)
 
     with _phase("variational updates"):
@@ -435,7 +436,7 @@ def forward(images, model: Model, mode: str = "train",
             # The noise precision enters only through the KL penalty on the
             # observation residual r.  The closed-form updates read mu_z as a
             # class-responsibility field, so the logits pass a softmax first.
-            r = images - (x + m)
+            r = image - (x + m)
             resp = mu_z.softmax(axis=1)
             gsq_x = grad_sqnorm(mu_x)
             gsq_z = grad_sqnorm(mu_z)
@@ -453,7 +454,7 @@ def forward(images, model: Model, mode: str = "train",
                    Tensor(0.0))
 
     kls = dict(zip(("kl_y", "kl_z", "kl_x", "kl_m"), kls))
-    return PipelineOutputs(y_hat, kls, [float(v) for v in log_w])
+    return PipelineOutputs(y_hat, kls, log_w)
 
 
 # -- optimizer ---------------------------------------------------------------------
@@ -489,17 +490,10 @@ class Adam:
 
 # -- training -----------------------------------------------------------------------
 
-def batch_tensors(samples: list[Sample], num_classes: int) -> tuple[Tensor, Tensor]:
-    """Stack samples into (B,1,H,W) images and (B,K,H,W) one-hot targets."""
-    images = np.stack([s.image for s in samples])[:, None, :, :]
-    masks = np.stack([s.mask for s in samples])
-    if masks.max(initial=0) >= num_classes:
-        raise ValueError(
-            f"mask label {masks.max()} >= num_classes {num_classes}")
-    onehot = np.zeros((len(samples), num_classes) + masks.shape[1:])
-    for c in range(num_classes):
-        onehot[:, c][masks == c] = 1.0
-    return Tensor(images), Tensor(onehot)
+def _check_labels(samples: list[Sample], k: int) -> None:
+    top = max(s.mask.max(initial=0) for s in samples)
+    if top >= k:
+        raise ValueError(f"mask label {top} >= num_classes {k}")
 
 
 def rn_weights(log_weights: list[float]) -> np.ndarray:
@@ -527,16 +521,19 @@ def _share(recon, kls: dict, weight: float, b: int, cfg: ModelConfig):
     return recon * (weight / b) + sum(kl[1:], kl[0]) * (cfg.lambda_bayes / (b * h * w))
 
 
-def _shares(images: Tensor, targets: Tensor, model: Model, rngs: list, lo: int,
-            hi: int, weigh) -> list[Tensor]:
+def _shares(batch: list[Sample], model: Model, rngs: list, lo: int, hi: int,
+            weigh) -> list[Tensor]:
     """The shares of items lo..hi-1.  Each item runs ``forward`` alone on its
-    own stream ``rngs[i]``; ``weigh`` takes their (recon, KLs, log RN weight)
-    values and returns the whole batch's RN weights."""
+    own stream ``rngs[i]`` and is scored against its (1, K, H, W) one-hot
+    mask; ``weigh`` takes their (recon, KLs, log RN weight) values and
+    returns the whole batch's RN weights."""
+    classes = np.arange(model.cfg.num_classes).reshape((-1, 1, 1))
     parts = []
     for i in range(lo, hi):
-        out = forward(images.slice(0, i, i + 1), model, "train", rngs[i])
-        parts.append((dice_ce_loss_per_item(out.y_hat, targets.slice(0, i, i + 1)),
-                      out.kls, out.log_rn_weights[0]))
+        out = forward(batch[i].image, model, "train", rngs[i])
+        target = Tensor((batch[i].mask == classes)[None])
+        parts.append((dice_ce_loss_per_item(out.y_hat, target), out.kls,
+                      out.log_rn_weight))
     weights = weigh([(recon.item(), {k: t.item() for k, t in kls.items()}, log_w)
                      for recon, kls, log_w in parts])
     return [_share(recon, kls, w, len(weights), model.cfg)
@@ -567,7 +564,7 @@ def _flow_kl(model: Model, rng: np.random.Generator) -> Tensor | None:
     return mc_kl(model.flow, cfg.flow_kl_samples, rng) if on else None
 
 
-def training_loss(images, targets: Tensor, model: Model,
+def training_loss(batch: list[Sample], model: Model,
                   rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
     """The training objective and its terms by name: ``recon``, the sum over
     items of each one's Dice + CE loss times its RN weight over B; each KL
@@ -575,14 +572,16 @@ def training_loss(images, targets: Tensor, model: Model,
     total ``loss``, the items' ``_share``s plus lambda_bayes times the flow
     KL.  ``rng`` spawns B + 1 streams: item i draws from the i-th and the flow
     KL from the last, so an item's share depends only on the parameters and
-    that item, and ``train_step`` can differentiate it item by item."""
+    that item, and ``train_step`` can differentiate it item by item.  An
+    item's image may be a ``Tensor``, so that the loss can be differentiated
+    with respect to the input, as the finite-difference oracles do."""
     cfg = model.cfg
-    images = _as_images(images, cfg)
-    rngs = rng.spawn(images.shape[0] + 1)
+    _check_labels(batch, cfg.num_classes)
+    rngs = rng.spawn(len(batch) + 1)
     terms: dict[str, float] = {}
     with _terms_so_far(terms):
         flow_kl = _flow_kl(model, rngs[-1])
-        shares = _shares(images, targets, model, rngs, 0, images.shape[0],
+        shares = _shares(batch, model, rngs, 0, len(batch),
                          lambda rows: _weigh(rows, flow_kl, cfg, terms))
         loss = sum(shares[1:], shares[0])
         if flow_kl is not None:
@@ -600,14 +599,14 @@ def train_step(batch: list[Sample], model: Model, opt: Adam,
     the step is the same to the bit on any number of CPUs.  A
     ``NonFiniteError`` names the terms so far."""
     cfg = model.cfg
-    images, targets = batch_tensors(batch, cfg.num_classes)
+    _check_labels(batch, cfg.num_classes)
     rngs = rng.spawn(len(batch) + 1)
     params = model.params()
     terms: dict[str, float] = {}
 
     def grads(lo, hi, weigh):
         out = []
-        for share in _shares(images, targets, model, rngs, lo, hi, weigh):
+        for share in _shares(batch, model, rngs, lo, hi, weigh):
             backward(share)
             out.append([p.grad for p in params])
             zero_grad(params)
@@ -638,13 +637,10 @@ def train_step(batch: list[Sample], model: Model, opt: Adam,
 
 
 def predict(image, model: Model) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic labels and per-class confidence for one image."""
-    arr = image.image if isinstance(image, Sample) else np.asarray(image)
-    if arr.shape != tuple(model.cfg.image_size):
-        raise ShapeError(
-            f"image shape {arr.shape} does not match the trained size "
-            f"{tuple(model.cfg.image_size)}")
-    conf = posterior_mean(arr[None, None, :, :], model).data[0]
+    """Deterministic (H, W) labels and (K, H, W) per-class confidence for one
+    image of the trained size, an array or a ``Sample``'s."""
+    conf = posterior_mean(image.image if isinstance(image, Sample) else image,
+                          model).data
     return conf.argmax(axis=0), conf
 
 
@@ -761,10 +757,7 @@ def evaluate(samples: list[Sample], model: Model) -> float:
     exception is raised here."""
     if not samples:
         raise ValueError("evaluate needs a nonempty dataset")
-    k = model.cfg.num_classes
-    top = max(s.mask.max(initial=0) for s in samples)
-    if top >= k:
-        raise ValueError(f"mask label {top} >= num_classes {k}")
+    _check_labels(samples, model.cfg.num_classes)
     view = model.frozen()
     with _workers(len(samples), lambda lo, hi, _: _dice_scores(samples[lo:hi], view)
                   ) as (first, workers):

@@ -378,13 +378,10 @@ def test_criterion_07_autodiff():
     for layer in model.flow.layers:
         layer.w2.assign(np.random.default_rng(5).normal(
             size=layer.w2.shape) * 0.1)
-    target = np.zeros((1, 2, 8, 8))
-    target[0, 0] = 1.0
-    target_t = Tensor(target)
 
     def full_forward(images: Tensor) -> Tensor:
-        return pl.training_loss(images, target_t, model,
-                                np.random.default_rng(11))[0]
+        batch = [fd.Sample(images.reshape((8, 8)), np.zeros((8, 8), int))]
+        return pl.training_loss(batch, model, np.random.default_rng(11))[0]
 
     err_input = dc.grad_check(full_forward, Tensor(img))
 

@@ -823,8 +823,8 @@ def test_sample_posterior_draws_equal_forward_on_the_loaded_model(
         work, tmp_path, monkeypatch):
     drawn = []
 
-    def spy(images, model, mode, rng):
-        out = pl.forward(images, model, mode, rng)
+    def spy(image, model, mode, rng):
+        out = pl.forward(image, model, mode, rng)
         drawn.append((model, out))
         return out
 
@@ -834,7 +834,7 @@ def test_sample_posterior_draws_equal_forward_on_the_loaded_model(
                      "--data", str(work["a"]), "--index", "1", "--m", "3",
                      "--out", str(out), "--seed", "9"]) == 0
     model, _, _ = pl.checkpoint_load(work["ckpt"])
-    image = fd.dataset_load(work["a"])[1].image[None, None, :, :]
+    image = fd.dataset_load(work["a"])[1].image
     rng = np.random.default_rng(9)
     rows = _read_csv(out / "log_weights.csv")[1:]
     assert len(drawn) == 3
@@ -844,11 +844,11 @@ def test_sample_posterior_draws_equal_forward_on_the_loaded_model(
         want = pl.forward(image, model, "train", rng)
         assert want.y_hat.requires_grad
         np.testing.assert_array_equal(got.y_hat.data, want.y_hat.data)
-        assert got.log_rn_weights == want.log_rn_weights
+        assert got.log_rn_weight == want.log_rn_weight
         expected = tmp_path / f"want_{i}.pgm"
         fd.pgm_write(want.y_hat.data[0].argmax(axis=0), expected)
         assert (out / f"sample_{i:02d}.pgm").read_bytes() == expected.read_bytes()
-        assert rows[i] == [str(i), f"{want.log_rn_weights[0]:.10g}"]
+        assert rows[i] == [str(i), f"{want.log_rn_weight:.10g}"]
 
 
 def test_sample_posterior_bad_index(work, tmp_path):

@@ -58,8 +58,8 @@ def golden_run(version: str, out_dir) -> dict:
     """The pinned facts of one unbroken two-epoch fit."""
     train, val = _samples()
     model, history = pl.fit(train, val, _cfg(version), out_dir=out_dir)
-    images, _ = pl.batch_tensors(val, model.cfg.num_classes)
-    probs = np.ascontiguousarray(pl.posterior_mean(images, model).data, "<f8")
+    probs = np.ascontiguousarray(
+        np.stack([pl.posterior_mean(s.image, model).data for s in val]), "<f8")
     return {"ckpt": _sha((out_dir / "ckpt-last.dbfc").read_bytes()),
             "history": _history_rows(history),
             "posterior_mean": _sha(probs.tobytes())}

@@ -58,9 +58,7 @@ def _perturbed_flow(model):
 
 def _recon_value(samples, model, seed):
     """Reconstruction term under common random numbers, no parameter update."""
-    images, targets = pl.batch_tensors(samples, model.cfg.num_classes)
-    _, terms = pl.training_loss(images, targets, model,
-                                np.random.default_rng(seed))
+    _, terms = pl.training_loss(samples, model, np.random.default_rng(seed))
     return terms["recon"]
 
 
@@ -220,18 +218,6 @@ def test_residual_block_is_one_node_on_its_skip_and_conv_operands(monkeypatch):
         np.testing.assert_array_equal(got, ref)
 
 
-def test_batch_tensors_onehot():
-    samples = _toy_samples(3, 8, 8, k=3, seed=1)
-    images, onehot = pl.batch_tensors(samples, 3)
-    assert images.shape == (3, 1, 8, 8)
-    assert onehot.shape == (3, 3, 8, 8)
-    assert np.allclose(onehot.data.sum(axis=1), 1.0)
-    recovered = onehot.data.argmax(axis=1)
-    assert np.array_equal(recovered, np.stack([s.mask for s in samples]))
-    with pytest.raises(ValueError, match="num_classes"):
-        pl.batch_tensors(samples, 2)
-
-
 def test_rn_weights_normalized_and_clamped():
     w = pl.rn_weights([0.3, -0.2, 1.1, 0.0])
     assert w.shape == (4,)
@@ -292,35 +278,42 @@ def test_checkpoint_load_rejects_missing_moments(tmp_path):
 def test_forward_shapes_and_simplex():
     cfg = _tiny_cfg()
     model = pl.Model(cfg)
-    samples = _toy_samples(4, 16, 16)
-    images, _ = pl.batch_tensors(samples, 2)
-    out = pl.forward(images, model, "train", np.random.default_rng(0))
-    assert out.y_hat.shape == (4, 2, 16, 16)
-    assert np.allclose(out.y_hat.data.sum(axis=1), 1.0, atol=1e-9)
-    assert np.all(out.y_hat.data >= 0)
-    assert len(out.log_rn_weights) == 4
-    assert list(out.kls) == ["kl_y", "kl_z", "kl_x", "kl_m"]
-    assert all(kl.data.size == 1 for kl in out.kls.values())
+    rng = np.random.default_rng(0)
+    for sample in _toy_samples(4, 16, 16):
+        out = pl.forward(sample.image, model, "train", rng)
+        assert out.y_hat.shape == (1, 2, 16, 16)
+        assert np.allclose(out.y_hat.data.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(out.y_hat.data >= 0)
+        assert isinstance(out.log_rn_weight, float)
+        assert list(out.kls) == ["kl_y", "kl_z", "kl_x", "kl_m"]
+        assert all(kl.data.size == 1 for kl in out.kls.values())
 
 
 def test_posterior_mean_deterministic():
     model = pl.Model(_tiny_cfg())
-    images, _ = pl.batch_tensors(_toy_samples(2, 16, 16), 2)
-    a = pl.posterior_mean(images, model)
-    b = pl.posterior_mean(images, model)
-    assert np.array_equal(a.data, b.data)
-    assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-9)
+    for sample in _toy_samples(2, 16, 16):
+        a = pl.posterior_mean(sample.image, model)
+        b = pl.posterior_mean(sample.image, model)
+        assert a.shape == (2, 16, 16)
+        assert np.array_equal(a.data, b.data)
+        assert np.allclose(a.data.sum(axis=0), 1.0, atol=1e-9)
 
 
 def test_forward_input_validation():
     model = pl.Model(_tiny_cfg())
-    with pytest.raises(dc.ShapeError, match="expected images"):
+    with pytest.raises(dc.ShapeError, match="does not match the trained size"):
         pl.posterior_mean(np.zeros((2, 1, 8, 8)), model)
+    # A pass takes one (H, W) image, not a batch of one.
+    one = np.zeros((1, 1, 16, 16))
+    for batch_of_one in (one, dc.Tensor(one)):
+        with pytest.raises(dc.ShapeError, match="does not match the trained size"):
+            pl.posterior_mean(batch_of_one, model)
+        with pytest.raises(dc.ShapeError, match="does not match the trained size"):
+            pl.forward(batch_of_one, model, "train", np.random.default_rng(0))
     with pytest.raises(ValueError, match="posterior_mean"):
-        pl.forward(np.zeros((2, 1, 16, 16)), model, "eval",
-                   np.random.default_rng(0))
+        pl.forward(np.zeros((16, 16)), model, "eval", np.random.default_rng(0))
     with pytest.raises(ValueError, match="rng"):
-        pl.forward(np.zeros((2, 1, 16, 16)), model, "train")
+        pl.forward(np.zeros((16, 16)), model, "train")
 
 
 @pytest.mark.parametrize("version", sorted(pl.VERSION_TOGGLES))
@@ -329,12 +322,13 @@ def test_toggle_matrix_phases(version):
     cfg = pl.config_for_version(_tiny_cfg(), version)
     model = pl.Model(cfg)
     assert (model.flow is not None) == nf
-    images, _ = pl.batch_tensors(_toy_samples(2, 16, 16), 2)
-    out = pl.forward(images, model, "train", np.random.default_rng(1))
-    assert (out.kls["kl_y"].data.item() != 0.0) == ncvi
-    assert (out.kls["kl_x"].data.item() != 0.0) == ncvi
-    if not sde:
-        assert all(v == 0.0 for v in out.log_rn_weights)
+    rng = np.random.default_rng(1)
+    for sample in _toy_samples(2, 16, 16):
+        out = pl.forward(sample.image, model, "train", rng)
+        assert (out.kls["kl_y"].data.item() != 0.0) == ncvi
+        assert (out.kls["kl_x"].data.item() != 0.0) == ncvi
+        if not sde:
+            assert out.log_rn_weight == 0.0
 
 
 @pytest.mark.parametrize("ncvi", [False, True])
@@ -350,9 +344,8 @@ def test_appearance_stream_runs_only_with_ncvi(ncvi, monkeypatch):
 
     monkeypatch.setattr(pl.ResEncoder, "__call__", counted)
     model = pl.Model(_tiny_cfg(ncvi=ncvi))
-    images, _ = pl.batch_tensors(_toy_samples(2, 16, 16), 2)
-    for seed in (5, 6):
-        pl.forward(images, model, "train", np.random.default_rng(seed))
+    for seed, sample in zip((5, 6), _toy_samples(2, 16, 16)):
+        pl.forward(sample.image, model, "train", np.random.default_rng(seed))
     assert len(calls) == (4 if ncvi else 2)
     assert (model.appearance is not None) == ncvi
     has_appearance = any(name.startswith("appearance.")
@@ -364,12 +357,13 @@ def test_appearance_stream_runs_only_with_ncvi(ncvi, monkeypatch):
 def test_kl_terms_nonnegative_finite(version):
     cfg = pl.config_for_version(_tiny_cfg(), version)
     model = pl.Model(cfg)
-    images, _ = pl.batch_tensors(_toy_samples(4, 16, 16, seed=9), 2)
-    out = pl.forward(images, model, "train", np.random.default_rng(2))
-    for name, kl in out.kls.items():
-        val = kl.data.item()
-        assert np.isfinite(val), f"{name} not finite"
-        assert val >= -1e-9, f"{name} negative: {val}"
+    rng = np.random.default_rng(2)
+    for sample in _toy_samples(4, 16, 16, seed=9):
+        out = pl.forward(sample.image, model, "train", rng)
+        for name, kl in out.kls.items():
+            val = kl.data.item()
+            assert np.isfinite(val), f"{name} not finite"
+            assert val >= -1e-9, f"{name} negative: {val}"
 
 
 def test_flow_kl_term_only_when_both_components_on():
@@ -387,8 +381,8 @@ def test_flow_kl_term_only_when_both_components_on():
 def test_training_loss_weights_its_terms(version):
     cfg = pl.config_for_version(_tiny_cfg(), version)
     model = _perturbed_flow(pl.Model(cfg))
-    images, targets = pl.batch_tensors(_toy_samples(4, 16, 16), cfg.num_classes)
-    loss, terms = pl.training_loss(images, targets, model, np.random.default_rng(6))
+    samples = _toy_samples(4, 16, 16)
+    loss, terms = pl.training_loss(samples, model, np.random.default_rng(6))
     flow = ["flow_kl"] if version == "ver5" else []
     assert list(terms) == ["recon", "kl_y", "kl_z", "kl_x", "kl_m", *flow, "loss"]
     assert terms["loss"] == loss.data.item()
@@ -400,7 +394,7 @@ def test_training_loss_weights_its_terms(version):
     if flow:
         assert abs(lam * terms["flow_kl"]) > 1e-9 * abs(want)
     model.cfg = replace(cfg, lambda_bayes=0.0)
-    _, terms = pl.training_loss(images, targets, model, np.random.default_rng(6))
+    _, terms = pl.training_loss(samples, model, np.random.default_rng(6))
     assert terms["loss"] == terms["recon"]
 
 
@@ -415,9 +409,7 @@ def test_train_step_differentiates_training_loss(version):
     twin_opt = pl.Adam(twin.named_params(), cfg.learning_rate, cfg.weight_decay)
     start = {name: p.data for name, p in model.named_params()}
     terms = pl.train_step(samples, model, opt, np.random.default_rng(4))
-    images, targets = pl.batch_tensors(samples, cfg.num_classes)
-    loss, twin_terms = pl.training_loss(images, targets, twin,
-                                        np.random.default_rng(4))
+    loss, twin_terms = pl.training_loss(samples, twin, np.random.default_rng(4))
     dc.backward(loss)
     twin_opt.step()
     assert list(terms.items()) == list(twin_terms.items())
@@ -474,8 +466,7 @@ def test_gradient_reaches_every_param_group():
     # gradient flow into their inputs until they move off exact zero.
     pl.train_step(samples, model, opt, np.random.default_rng(0))
 
-    images, targets = pl.batch_tensors(samples, cfg.num_classes)
-    loss, _ = pl.training_loss(images, targets, model, np.random.default_rng(1))
+    loss, _ = pl.training_loss(samples, model, np.random.default_rng(1))
     dc.backward(loss)
     norms: dict[str, float] = {}
     for name, p in model.named_params():
@@ -511,12 +502,10 @@ def test_train_loss_gradient_matches_finite_differences(version, monkeypatch):
                        sde_steps=4, flow_kl_samples=16, seed=1), version)
     model = _perturbed_flow(pl.Model(cfg))
     img = np.random.default_rng(707).normal(size=(1, 1, 8, 8))
-    target = np.zeros((1, 2, 8, 8))
-    target[0, 0] = 1.0
 
     def loss_fn(images):
-        return pl.training_loss(images, dc.Tensor(target), model,
-                                np.random.default_rng(11))[0]
+        batch = [fd.Sample(images.reshape((8, 8)), np.zeros((8, 8), int))]
+        return pl.training_loss(batch, model, np.random.default_rng(11))[0]
 
     pinned = []
     refresh = pl.refresh_state
@@ -633,11 +622,13 @@ def test_train_eval_argmax_agreement():
     model = pl.Model(cfg)
     model.seg.head_mu.b.assign(np.array([8.0, -8.0]))
     model.seg.head_lv.b.assign(np.array([-60.0, -60.0]))
-    images, _ = pl.batch_tensors(_toy_samples(4, 16, 16), 2)
-    train_out = pl.forward(images, model, "train", np.random.default_rng(0))
-    a = train_out.y_hat.data.argmax(axis=1)
-    b = pl.posterior_mean(images, model).data.argmax(axis=1)
-    assert (a == b).mean() >= 0.99
+    rng = np.random.default_rng(0)
+    agree = []
+    for sample in _toy_samples(4, 16, 16):
+        a = pl.forward(sample.image, model, "train", rng).y_hat.data[0].argmax(axis=0)
+        b = pl.posterior_mean(sample.image, model).data.argmax(axis=0)
+        agree.append(a == b)
+    assert np.mean(agree) >= 0.99
 
 
 def test_nonfinite_loss_reports_phase():
@@ -966,16 +957,19 @@ def test_evaluate_rejects_a_mask_label_beyond_the_classes():
         pl.evaluate(samples, pl.Model(_tiny_cfg()))
 
 
-def test_posterior_mean_of_a_batch_equals_its_images_one_at_a_time():
-    # evaluate streams one image at a time, so it relies on this.
-    cfg = _tiny_cfg(num_classes=3, image_size=(16, 24))
-    model = pl.Model(cfg)
-    images = np.stack([s.image for s in _toy_samples(5, 16, 24, k=3)])[:, None]
-    batch = pl.posterior_mean(images, model).data
-    single = np.concatenate([pl.posterior_mean(images[i:i + 1], model).data
-                             for i in range(5)])
-    assert batch.shape == (5, 3, 16, 24)
-    assert batch.tobytes() == single.tobytes()
+def test_training_rejects_a_mask_label_beyond_the_classes(monkeypatch):
+    # train_step checks the labels before it forks a worker.
+    samples = _toy_samples(4, 16, 16)
+    samples[3].mask[0, 0] = 2
+    model = pl.Model(_tiny_cfg())
+    opt = pl.Adam(model.named_params(), 0.01)
+    forked = _cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="mask label 2 >= num_classes 2"):
+        pl.train_step(samples, model, opt, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="mask label 2 >= num_classes 2"):
+        pl.training_loss(samples, model, np.random.default_rng(0))
+    assert forked == [] and opt.t == 0
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("version", ["ver1", "ver5"])
@@ -1014,10 +1008,10 @@ def test_evaluation_runs_no_training_only_code(version, monkeypatch):
 def test_posterior_mean_records_no_tape():
     model = pl.Model(_tiny_cfg())
     assert all(p.requires_grad for p in model.params())
-    images, _ = pl.batch_tensors(_toy_samples(2, 16, 16), 2)
-    probs = pl.posterior_mean(images, model)
-    assert not probs.requires_grad
-    assert probs._node is None and probs._backward is None and dc.trace(probs) == []
+    for sample in _toy_samples(2, 16, 16):
+        probs = pl.posterior_mean(sample.image, model)
+        assert not probs.requires_grad
+        assert probs._node is None and probs._backward is None and dc.trace(probs) == []
     assert all(p.requires_grad for p in model.params())
 
 
@@ -1100,17 +1094,19 @@ def test_evaluate_leaves_training_gradients_unchanged(version):
 
 
 def test_posterior_mean_peak_memory_guard():
-    # One call at B=8, 64x64 and the default config peaked at 132 MiB of
-    # traced allocations while it recorded a tape, and at 22 MiB without.
+    # Eight calls on 64x64 images with the default config, their outputs
+    # kept, peaked at 3.4 MiB of traced allocations on a frozen view, and at
+    # 35.6 MiB when each call recorded a tape (Model.frozen returning self).
     model = pl.Model(pl.ModelConfig())
-    images = np.random.default_rng(0).standard_normal((8, 1, 64, 64))
+    images = np.random.default_rng(0).standard_normal((8, 64, 64))
     tracemalloc.start()
     try:
-        pl.posterior_mean(images, model)
+        probs = [pl.posterior_mean(image, model) for image in images]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert len(probs) == 8
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_evaluate_peak_memory_is_about_one_image(monkeypatch):
@@ -1123,7 +1119,7 @@ def test_evaluate_peak_memory_is_about_one_image(monkeypatch):
     model = pl.Model(pl.ModelConfig())
     samples = _toy_samples(16, 64, 64)
     peaks = []
-    for run in (lambda: pl.posterior_mean(samples[0].image[None, None], model),
+    for run in (lambda: pl.posterior_mean(samples[0].image, model),
                 lambda: pl.evaluate(samples, model)):
         tracemalloc.start()
         try:
