@@ -5,8 +5,9 @@ training, cross-domain evaluation, the five-version ablation sweep,
 posterior sampling with uncertainty maps, and file inspection.
 
 Configuration is plain ``key = value`` text with ``#`` comments; flags
-override file values, and the effective configuration is echoed into the
-run directory.  Exit codes: 0 success, 2 usage/config, 3 I/O, 4 numerical
+override file values, every file a command reads must agree with them, and
+the configuration a run trains with is echoed into the run directory.  Exit
+codes: 0 success, 2 usage/config or out of memory, 3 I/O, 4 numerical
 failure, 141 stdout closed by its reader.
 """
 
@@ -33,8 +34,9 @@ from .data import (DOMAINS, dataset_load, dataset_meta, dataset_save,
                    gen_dataset, pgm_write)
 from .diffcore import NonFiniteError
 from .pipeline import (TOGGLES, ModelConfig, VERSION_TOGGLES, checkpoint_load,
-                       config_from_items, config_items, config_text, evaluate,
-                       fit, format_value, forward, parse_value, resumed_config)
+                       config_for_version, config_from_items, config_items,
+                       config_text, evaluate, fit, format_value, forward,
+                       parse_value, resumed_config)
 
 
 class ConfigError(ValueError):
@@ -45,10 +47,6 @@ class ConfigError(ValueError):
 
 # Every key a config may set, with its default: the model's, then the run name.
 _DEFAULTS = {**config_items(ModelConfig()), "run": "run"}
-
-
-def default_config() -> dict:
-    return dict(_DEFAULTS)
 
 
 def _parse_value(key: str, raw: str):
@@ -82,32 +80,24 @@ def read_config_file(path: str | Path) -> dict:
     return out
 
 
-def effective_config(args) -> tuple[dict, set]:
-    """Defaults, then the config file, then flag overrides.
-
-    Returns (config, explicitly-set keys).
-    """
-    cfg = default_config()
-    explicit: set[str] = set()
+def read_settings(args) -> dict:
+    """The keys set by the config file, then by ``--set``, then by ``--seed``."""
+    settings = {}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        file_vals = read_config_file(path)
-        cfg.update(file_vals)
-        explicit |= set(file_vals)
+        settings.update(read_config_file(path))
     for setting in args.set or []:
         key, value = _parse_setting(setting, "--set")
-        cfg[key] = value
-        explicit.add(key)
+        settings[key] = value
     if args.seed is not None:
-        cfg["seed"] = args.seed
-        explicit.add("seed")
-    return cfg, explicit
+        settings["seed"] = args.seed
+    return settings
 
 
-def write_config_echo(cfg: dict, path: Path) -> None:
-    atomic_write(path, config_text(cfg).encode())
+def write_config_echo(cfg: ModelConfig, run: str, path: Path) -> None:
+    atomic_write(path, config_text({**config_items(cfg), "run": run}).encode())
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -120,22 +110,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     atomic_write(path, buf.getvalue().encode())
 
 
-def _pin(cfg: dict, pinned: set, fixed: dict, source) -> dict:
-    """``cfg`` with the settings that the file ``source`` fixes; a ``pinned``
-    key of ``cfg`` that the file contradicts is an error naming the file."""
-    for key in sorted(pinned & fixed.keys()):
-        if cfg[key] != fixed[key]:
-            raise ConfigError(f"{source}: {key} = {format_value(cfg[key])} but "
+def _pin(settings: dict, fixed: dict, source) -> dict:
+    """``settings`` joined by the values that the file ``source`` fixes; a
+    setting that the file contradicts is an error naming the file."""
+    for key in sorted(settings.keys() & fixed.keys()):
+        if settings[key] != fixed[key]:
+            raise ConfigError(f"{source}: {key} = {format_value(settings[key])} but "
                               f"the file has {key} = {format_value(fixed[key])}")
-    return {**cfg, **fixed}
+    return {**settings, **fixed}
 
 
-def _load_dataset(path, cfg: dict, pinned=frozenset({"image_size", "num_classes"})):
-    """(``cfg`` with the file's geometry, the file's samples); a file that
-    contradicts a ``pinned`` key is rejected before it loads."""
+def _load_dataset(path, settings: dict):
+    """(``settings`` with the file's geometry, the file's samples); a file
+    that contradicts a setting is rejected before it loads."""
     _, h, w, k = dataset_meta(path)
-    cfg = _pin(cfg, pinned, {"image_size": (h, w), "num_classes": k}, path)
-    return cfg, dataset_load(path)
+    settings = _pin(settings, {"image_size": (h, w), "num_classes": k}, path)
+    return settings, dataset_load(path)
 
 
 def _split_train_val(samples):
@@ -151,52 +141,52 @@ def _split_train_val(samples):
 
 
 def cmd_gen_data(args) -> int:
-    cfg, explicit = effective_config(args)
+    settings = read_settings(args)
     if args.n <= 0:
         raise ConfigError(f"--n must be positive, got {args.n}")
     overrides = {field: getattr(args, field) for field in
                  ("noise_sigma", "bias_amplitude", "contrast_gamma")
                  if getattr(args, field) is not None}
-    if "seed" in explicit:
-        overrides["seed"] = cfg["seed"]
+    if "seed" in settings:
+        overrides["seed"] = settings["seed"]
     domain = replace(DOMAINS[args.domain], **overrides)
     # A dataset's geometry is the model's, so the model config checks it.
-    image_size = config_from_items(cfg).image_size
-    samples = gen_dataset(domain, args.n, image_size=image_size)
+    cfg = config_from_items({**_DEFAULTS, **settings})
+    samples = gen_dataset(domain, args.n, image_size=cfg.image_size)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    dataset_save(samples, out, num_classes=cfg["num_classes"])
-    h, w = cfg["image_size"]
+    dataset_save(samples, out, num_classes=cfg.num_classes)
+    h, w = cfg.image_size
     print(f"wrote {out}: {args.n} samples, {h}x{w}, "
-          f"{cfg['num_classes']} classes, domain {domain.name} "
+          f"{cfg.num_classes} classes, domain {domain.name} "
           f"(noise {domain.noise_sigma}, bias {domain.bias_amplitude}, "
           f"gamma {domain.contrast_gamma})")
     return 0
 
 
-def _train_common(args, cfg: dict, explicit: set, ckpt=None):
-    """Shared train/ablate setup: (config, the training file's samples, train
-    set, val set); ``ckpt`` is what checkpoint_load read for --resume.  A
-    resumed run keeps every setting of its checkpoint but ``epochs``."""
+def _train_common(args, settings: dict, ckpt=None):
+    """Shared train/ablate setup: (model config, the training file's samples,
+    train set, val set); ``ckpt`` is what checkpoint_load read for --resume.
+    A resumed run keeps every setting of its checkpoint but ``epochs``."""
     if ckpt is not None:
         model, _, epoch = ckpt
         saved = {k: v for k, v in config_items(model.cfg).items() if k != "epochs"}
-        cfg = _pin(cfg, explicit, saved, args.resume)
-        resumed_config(model.cfg, epoch, cfg["epochs"])
-        explicit = explicit | saved.keys()
-    cfg, samples = _load_dataset(args.data, cfg, explicit)
+        settings = _pin(settings, saved, args.resume)
+        resumed_config(model.cfg, epoch, settings.get("epochs", _DEFAULTS["epochs"]))
+    settings, samples = _load_dataset(args.data, settings)
+    cfg = config_from_items({**_DEFAULTS, **settings})
     if args.val:
-        return cfg, samples, samples, _load_dataset(args.val, cfg)[1]
+        return cfg, samples, samples, _load_dataset(args.val, settings)[1]
     return cfg, samples, *_split_train_val(samples)
 
 
-def _fit_run(cfg: dict, train_samples, val_samples, run_dir: Path, resume=None):
-    """``fit`` of ``cfg`` into ``run_dir``, which gets the config's echo first
-    and a ``metrics.csv`` rewritten as each epoch ends, so a run that dies
-    keeps its record; returns what ``fit`` returns."""
-    model_cfg = config_from_items(cfg)
+def _fit_run(cfg: ModelConfig, train_samples, val_samples, run_dir: Path,
+             resume=None):
+    """``fit`` of ``cfg`` into ``run_dir``, which gets the echo of ``cfg`` and
+    its run name first and a ``metrics.csv`` rewritten as each epoch ends, so
+    a run that dies keeps its record; returns what ``fit`` returns."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_config_echo(cfg, run_dir / "config.echo")
+    write_config_echo(cfg, run_dir.name, run_dir / "config.echo")
     history: list[dict] = []
 
     def record(row):
@@ -206,18 +196,18 @@ def _fit_run(cfg: dict, train_samples, val_samples, run_dir: Path, resume=None):
         print(f"epoch {row['epoch']}: loss {row['loss']:.4f} "
               f"dice {row['dice_val']:.4f}", flush=True)
 
-    return fit(train_samples, val_samples, model_cfg, out_dir=run_dir,
+    return fit(train_samples, val_samples, cfg, out_dir=run_dir,
                resume=resume, progress=record)
 
 
 def cmd_train(args) -> int:
-    cfg, explicit = effective_config(args)
-    if cfg["run"] in ("", ".", "..") or Path(cfg["run"]).name != cfg["run"]:
-        raise ConfigError(
-            f"run must name one directory inside --out, got {cfg['run']!r}")
+    settings = read_settings(args)
+    run = settings.get("run", _DEFAULTS["run"])
+    if run in ("", ".", "..") or Path(run).name != run:
+        raise ConfigError(f"run must name one directory inside --out, got {run!r}")
     ckpt = checkpoint_load(args.resume) if args.resume else None
-    cfg, _, train_samples, val_samples = _train_common(args, cfg, explicit, ckpt)
-    run_dir = Path(args.out) / cfg["run"]
+    cfg, _, train_samples, val_samples = _train_common(args, settings, ckpt)
+    run_dir = Path(args.out) / run
     _, history = _fit_run(cfg, train_samples, val_samples, run_dir, ckpt)
     best = max(row["dice_val"] for row in history)
     print(f"best validation dice {best:.4f}; artifacts in {run_dir}")
@@ -243,17 +233,18 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     if not args.targets:
         raise ConfigError("ablate needs at least one target dataset")
-    cfg, explicit = effective_config(args)
-    cfg, source, train_samples, val_samples = _train_common(args, cfg, explicit)
-    config_from_items(cfg)  # a bad value exits 2 before anything is written
+    settings = read_settings(args)
+    cfg, source, train_samples, val_samples = _train_common(args, settings)
     # The source column is measured on the full source file so the row is
     # reproducible by a standalone train + eval with the same seed.
     eval_sets = [(Path(args.data).stem, source)]
     for path in args.targets:
-        eval_sets.append((Path(path).stem, _load_dataset(path, cfg)[1]))
+        eval_sets.append((Path(path).stem,
+                          _load_dataset(path, config_items(cfg))[1]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_config_echo(cfg, out / "config.echo")
+    write_config_echo(cfg, settings.get("run", _DEFAULTS["run"]),
+                      out / "config.echo")
 
     # The versions fit here one after another, ver5 first, each into the
     # run directory that a standalone `train` of this config with its
@@ -262,10 +253,9 @@ def cmd_ablate(args) -> int:
     dices: dict[str, list[float]] = {}
     for version in sorted(VERSION_TOGGLES, reverse=True):
         print(f"{version}: fitting into {out / version}", flush=True)
-        toggles = dict(zip(TOGGLES, VERSION_TOGGLES[version]))
         try:
-            model, _ = _fit_run({**cfg, **toggles, "run": version},
-                                train_samples, val_samples, out / version)
+            model, _ = _fit_run(config_for_version(cfg, version), train_samples,
+                                val_samples, out / version)
         except Exception:
             print(f"error: ablate {version} failed", file=sys.stderr)
             raise
@@ -446,6 +436,9 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

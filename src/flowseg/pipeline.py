@@ -111,6 +111,8 @@ class ModelConfig:
         if min(h, w) < 4 or h % 4 != 0 or w % 4 != 0:
             raise ValueError(f"image_size sides must be >= 4 and divisible by 4 "
                              f"(two pooling levels), got {(h, w)}")
+        if max(h, w) > 65535:  # a dataset header holds each side in 16 bits
+            raise ValueError(f"image_size sides must be <= 65535, got {(h, w)}")
 
 
 def config_for_version(cfg: ModelConfig, version: str) -> ModelConfig:
@@ -926,7 +928,10 @@ def checkpoint_load(path: str | Path) -> tuple[Model, Adam, int]:
         raise FormatError(path, f"{body.remaining} trailing bytes after sections")
     if len(arrays) < n_sections:
         raise FormatError(path, f"{n_sections} sections, {len(arrays)} distinct names")
-    model = Model(cfg)
+    try:
+        model = Model(cfg)
+    except MemoryError as exc:
+        raise FormatError(path, f"config block: no memory for its model: {exc}") from exc
     opt = Adam(model.named_params(), cfg.learning_rate, cfg.weight_decay)
     expected = {name: arr.shape for name, arr in _sections(model, opt, 0)}
     faults: dict[str, list[str]] = {}

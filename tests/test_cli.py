@@ -99,13 +99,20 @@ def test_gen_data_rejects_bad_count(tmp_path, capsys):
     assert "--n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("size", ["-4x8", "0x0"])
-def test_gen_data_rejects_an_image_side_below_4(tmp_path, capsys, size):
+# A side above 65535 does not fit the dataset header's 16 bits; it is
+# rejected before any image is generated, so 4000000x64 allocates nothing.
+@pytest.mark.parametrize("size, message", [
+    ("-4x8", "image_size sides must be >= 4"),
+    ("0x0", "image_size sides must be >= 4"),
+    ("64x65536", "image_size sides must be <= 65535"),
+    ("4000000x64", "image_size sides must be <= 65535"),
+], ids=["-4x8", "0x0", "64x65536", "4000000x64"])
+def test_gen_data_rejects_an_image_side_below_4(tmp_path, capsys, size, message):
     out = tmp_path / "x.dbfd"
     code = cli.main(["gen-data", "--domain", "A", "--n", "3",
                      "--set", f"image_size={size}", "--out", str(out)])
     assert code == 2
-    assert "image_size sides must be >= 4" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -206,10 +213,10 @@ def _other(value):
 
 def test_every_config_key_round_trips_through_echo(tmp_path):
     # Defaults, then a second value of the same type for every key.
-    defaults = cli.default_config()
+    defaults = dict(cli._DEFAULTS)
     for cfg in (defaults, {k: _other(v) for k, v in defaults.items()}):
         path = tmp_path / "echo.cfg"
-        cli.write_config_echo(cfg, path)
+        cli.write_config_echo(pl.config_from_items(cfg), cfg["run"], path)
         back = cli.read_config_file(path)
         assert back == cfg
         assert {k: type(v) for k, v in back.items()} == \
@@ -227,8 +234,7 @@ def test_failed_replace_keeps_old_text_file(tmp_path, monkeypatch, kind):
             cli._write_csv(path, ["epoch", "dice_val"],
                            [[e, 0.5] for e in range(epochs)])
         else:
-            cli.write_config_echo({**cli.default_config(), "epochs": epochs},
-                                  path)
+            cli.write_config_echo(pl.ModelConfig(epochs=epochs), "run", path)
     save(1)
     before = path.read_bytes()
 
@@ -450,7 +456,7 @@ _FLOAT_ACCEPTED = {("weight_decay", "0"), ("lambda_bayes", "0"),
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-@pytest.mark.parametrize("key", sorted(k for k, v in cli.default_config().items()
+@pytest.mark.parametrize("key", sorted(k for k, v in dict(cli._DEFAULTS).items()
                                        if isinstance(v, float)))
 def test_train_float_key_out_of_range(work, tmp_path, capsys, key, value):
     code = cli.main(["train", "--data", str(work["a"]),
@@ -482,17 +488,24 @@ def test_train_val_geometry_mismatch(work, tmp_path, capsys):
 @pytest.mark.parametrize("flags, fixed_by, setting", [
     (["--set", "num_classes=3"], "data", "num_classes = 3"),
     (["--set", "image_size=64x64"], "data", "image_size = 64x64"),
+    (["--config"], "data", "image_size = 64x64"),
     (["--set", "channels=16", "--set", "epochs=2", "--resume"], "ckpt",
      "channels = 16"),
-], ids=["dataset_classes", "dataset_size", "checkpoint"])
+], ids=["dataset_classes", "dataset_size", "config_file_size", "checkpoint"])
 def test_train_contradiction_names_the_file(work, tmp_path, capsys, flags,
                                             fixed_by, setting):
     # A dataset fixes image_size and num_classes; a checkpoint fixes every
-    # key but epochs.  Either file's path heads the message.
+    # key but epochs.  A --config file's setting is checked like a --set
+    # one.  Either file's path heads the message.
     path = {"data": work["a"], "ckpt": work["run"] / "ckpt-last.dbfc"}[fixed_by]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{setting}\n")
+    operand = {"--resume": [str(path)], "--config": [str(config)]}
+    # FAST's own --set image_size would override the config file's.
+    fast = FAST[2:] if flags[-1] == "--config" else FAST
     out = tmp_path / "out"
     code = cli.main(["train", "--data", str(work["a"]), "--out", str(out)]
-                    + FAST + flags + ([str(path)] if fixed_by == "ckpt" else []))
+                    + fast + flags + operand.get(flags[-1], []))
     assert code == 2
     assert (f"error: {path}: {setting} but the file has "
             in capsys.readouterr().err)
@@ -1049,6 +1062,33 @@ def test_out_of_range_config_block_exits_3_naming_the_file(work, tmp_path, capsy
     assert cli.main(["eval", "--ckpt", str(path), "--out", str(tmp_path / "e.csv"),
                      str(work["c"])]) == 3
     assert str(path) in capsys.readouterr().err
+
+
+def _no_memory(cfg):
+    """Stands in for ``pl.Model`` of a config too large for any host, so no
+    test depends on the host's overcommit policy."""
+    raise MemoryError(f"Unable to allocate a model of {cfg.channels} channels")
+
+
+def test_train_of_a_model_that_cannot_be_allocated_exits_2(work, tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(pl, "Model", _no_memory)
+    code = cli.main(["train", "--data", str(work["a"]),
+                     "--out", str(tmp_path / "out")]
+                    + FAST + ["--set", "channels=10000000"])
+    assert code == 2
+    assert ("error: out of memory: Unable to allocate a model of 10000000 "
+            "channels") in capsys.readouterr().err
+
+
+def test_checkpoint_whose_model_cannot_be_allocated_exits_3(work, tmp_path, capsys,
+                                                          monkeypatch):
+    raw = work["ckpt"].read_bytes()[:-4]
+    edit = lambda b: b.replace("channels = 4\n", "channels = 10000000\n")
+    bad = _sealed(_with_config_block(raw, edit), tmp_path / "huge.dbfc")
+    monkeypatch.setattr(pl, "Model", _no_memory)
+    for err in _inspect_and_eval_exit_3(work, tmp_path, capsys, ckpt=bad):
+        assert f"error: {bad}: config block: no memory for its model" in err
 
 
 def test_undecodable_section_name_is_format_error(work, tmp_path, capsys):
