@@ -33,8 +33,9 @@ print("=" * 70)
 
 cfg = ModelConfig(image_size=size, channels=8, flow_layers=2, flow_hidden=16,
                   flow_kl_samples=32, batch_size=8, epochs=3, seed=42)
-# fit writes ckpt-last.dbfc every epoch and ckpt-best.dbfc at the best
-# validation Dice; section 4 reads the best one back.
+# fit writes the run record that `flowseg train` writes: config.echo once
+# the model exists, then every epoch ckpt-last.dbfc, ckpt-best.dbfc at the
+# best validation Dice, and metrics.csv; section 4 reads the best one back.
 run_dir = tempfile.TemporaryDirectory()
 t0 = time.perf_counter()
 model, history = fit(train, val, cfg, out_dir=run_dir.name,

@@ -21,22 +21,21 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .container import FormatError, atomic_write, sniff
+from .container import FormatError, sniff
 from .data import (DOMAINS, dataset_load, dataset_meta, dataset_save,
                    gen_dataset, pgm_write)
 from .diffcore import NonFiniteError
 from .pipeline import (TOGGLES, ModelConfig, VERSION_TOGGLES, checkpoint_load,
                        config_for_version, config_from_items, config_items,
-                       config_text, evaluate, fit, format_value, forward,
-                       parse_value, resumed_config)
+                       evaluate, fit, format_value, forward, parse_setting,
+                       read_config_text, resumed_config, write_config_echo,
+                       write_csv)
 
 
 class ConfigError(ValueError):
@@ -49,37 +48,6 @@ class ConfigError(ValueError):
 _DEFAULTS = {**config_items(ModelConfig()), "run": "run"}
 
 
-def _parse_value(key: str, raw: str):
-    """Parse ``raw`` as the type of the key's default value."""
-    try:
-        return parse_value(_DEFAULTS[key], raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-
-
-def _parse_setting(text: str, where: str) -> tuple[str, object]:
-    """Split and parse one ``key = value`` setting; errors name ``where``."""
-    key, eq, raw = text.partition("=")
-    key = key.strip()
-    if not eq or not key:
-        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
-    if key not in _DEFAULTS:
-        raise ConfigError(f"{where}: unknown key {key!r}")
-    return key, _parse_value(key, raw)
-
-
-def read_config_file(path: str | Path) -> dict:
-    """Parse ``key = value`` lines; unknown keys name the offending line."""
-    out = {}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            key, value = _parse_setting(stripped, f"{path}:{lineno}")
-            out[key] = value
-    return out
-
-
 def read_settings(args) -> dict:
     """The keys set by the config file, then by ``--set``, then by ``--seed``."""
     settings = {}
@@ -87,27 +55,13 @@ def read_settings(args) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        settings.update(read_config_file(path))
+        settings.update(read_config_text(path.read_text(), path, _DEFAULTS))
     for setting in args.set or []:
-        key, value = _parse_setting(setting, "--set")
+        key, value = parse_setting(setting, "--set", _DEFAULTS)
         settings[key] = value
     if args.seed is not None:
         settings["seed"] = args.seed
     return settings
-
-
-def write_config_echo(cfg: ModelConfig, run: str, path: Path) -> None:
-    atomic_write(path, config_text({**config_items(cfg), "run": run}).encode())
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.10g}" if isinstance(v, float) else v
-                         for v in row])
-    atomic_write(path, buf.getvalue().encode())
 
 
 def _pin(settings: dict, fixed: dict, source) -> dict:
@@ -180,24 +134,9 @@ def _train_common(args, settings: dict, ckpt=None):
     return cfg, samples, *_split_train_val(samples)
 
 
-def _fit_run(cfg: ModelConfig, train_samples, val_samples, run_dir: Path,
-             resume=None):
-    """``fit`` of ``cfg`` into ``run_dir``, which gets the echo of ``cfg`` and
-    its run name first and a ``metrics.csv`` rewritten as each epoch ends, so
-    a run that dies keeps its record; returns what ``fit`` returns."""
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_config_echo(cfg, run_dir.name, run_dir / "config.echo")
-    history: list[dict] = []
-
-    def record(row):
-        history.append(row)
-        _write_csv(run_dir / "metrics.csv", list(row),
-                   [list(r.values()) for r in history])
-        print(f"epoch {row['epoch']}: loss {row['loss']:.4f} "
-              f"dice {row['dice_val']:.4f}", flush=True)
-
-    return fit(train_samples, val_samples, cfg, out_dir=run_dir,
-               resume=resume, progress=record)
+def _print_epoch(row: dict) -> None:
+    print(f"epoch {row['epoch']}: loss {row['loss']:.4f} "
+          f"dice {row['dice_val']:.4f}", flush=True)
 
 
 def cmd_train(args) -> int:
@@ -208,7 +147,8 @@ def cmd_train(args) -> int:
     ckpt = checkpoint_load(args.resume) if args.resume else None
     cfg, _, train_samples, val_samples = _train_common(args, settings, ckpt)
     run_dir = Path(args.out) / run
-    _, history = _fit_run(cfg, train_samples, val_samples, run_dir, ckpt)
+    _, history = fit(train_samples, val_samples, cfg, out_dir=run_dir,
+                     resume=ckpt, progress=_print_epoch)
     best = max(row["dice_val"] for row in history)
     print(f"best validation dice {best:.4f}; artifacts in {run_dir}")
     return 0
@@ -226,7 +166,7 @@ def cmd_eval(args) -> int:
     rows.append(["avg_targets", float(np.mean(dices[-len(args.data):]))])
     for name, dice in rows:
         print(f"{name}: {dice:.4f}")
-    _write_csv(Path(args.out), ["dataset", "dice"], rows)
+    write_csv(Path(args.out), ["dataset", "dice"], rows)
     return 0
 
 
@@ -254,8 +194,9 @@ def cmd_ablate(args) -> int:
     for version in sorted(VERSION_TOGGLES, reverse=True):
         print(f"{version}: fitting into {out / version}", flush=True)
         try:
-            model, _ = _fit_run(config_for_version(cfg, version), train_samples,
-                                val_samples, out / version)
+            model, _ = fit(train_samples, val_samples,
+                           config_for_version(cfg, version),
+                           out_dir=out / version, progress=_print_epoch)
         except Exception:
             print(f"error: ablate {version} failed", file=sys.stderr)
             raise
@@ -270,9 +211,9 @@ def cmd_ablate(args) -> int:
         cells = "  ".join(f"{d:.4f}" for d in dices[version])
         print(f"{version}  {marks}  {cells}  {avg[version]:.4f}")
 
-    _write_csv(out / "ablate.csv", header,
-               [[format_value(v) if isinstance(v, bool) else v for v in row]
-                for row in rows])
+    write_csv(out / "ablate.csv", header,
+              [[format_value(v) if isinstance(v, bool) else v for v in row]
+               for row in rows])
     delta = avg["ver5"] - avg["ver1"]
     print(f"ver5 - ver1 target average: {delta:+.4f} (reported, not gated)")
     return 0
@@ -307,8 +248,8 @@ def cmd_sample_posterior(args) -> int:
     with np.errstate(divide="ignore", invalid="ignore"):
         entropy = -np.where(freq > 0, freq * np.log(freq), 0.0).sum(axis=0)
     pgm_write(entropy, out_dir / "entropy.pgm")
-    _write_csv(out_dir / "log_weights.csv", ["sample", "log_weight"],
-               [[i, w] for i, w in enumerate(log_weights)])
+    write_csv(out_dir / "log_weights.csv", ["sample", "log_weight"],
+              [[i, w] for i, w in enumerate(log_weights)])
 
     mean_rn = float(np.mean(np.exp(log_weights)))
     band = "within" if 0.2 <= mean_rn <= 5.0 else "OUTSIDE"

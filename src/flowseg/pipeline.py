@@ -16,6 +16,8 @@ frozen view of the model (``Model.frozen``) and records no tape.
 """
 
 import copy
+import csv
+import io
 import math
 import os
 import pickle
@@ -175,6 +177,49 @@ def parse_value(default, raw: str):
 def config_text(items: dict) -> str:
     """One ``key = value`` line per key, in sorted key order."""
     return "".join(f"{key} = {format_value(items[key])}\n" for key in sorted(items))
+
+
+def parse_setting(text: str, where: str, defaults: dict) -> tuple[str, object]:
+    """Split one ``key = value`` setting and parse its value as the type of
+    the key's entry in ``defaults``; raises ``ValueError`` naming ``where``."""
+    key, eq, raw = text.partition("=")
+    key = key.strip()
+    if not eq or not key:
+        raise ValueError(f"{where}: expected 'key = value', got {text!r}")
+    if key not in defaults:
+        raise ValueError(f"{where}: unknown key {key!r}")
+    try:
+        return key, parse_value(defaults[key], raw)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from exc
+
+
+def read_config_text(text: str, where: str | Path, defaults: dict) -> dict:
+    """The settings of ``text``'s ``key = value`` lines, ``#`` starting a
+    comment and a later line winning; errors name ``where`` and the line."""
+    out = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if stripped:
+            key, value = parse_setting(stripped, f"{where}:{lineno}", defaults)
+            out[key] = value
+    return out
+
+
+def write_config_echo(cfg: ModelConfig, run: str, path: Path) -> None:
+    """``config_text`` of every key of ``cfg`` and the run name ``run``."""
+    atomic_write(path, config_text({**config_items(cfg), "run": run}).encode())
+
+
+def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """``header`` then ``rows``, each float to 10 significant digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.10g}" if isinstance(v, float) else v
+                         for v in row])
+    atomic_write(path, buf.getvalue().encode())
 
 
 # -- parameterized blocks --------------------------------------------------------
@@ -782,11 +827,15 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
 
     A history row is ``epoch``, ``dice_val`` and the epoch's mean of each
     ``train_step`` term; ``progress`` gets each row as its epoch ends.
-    Checkpoints go to out_dir (ckpt-last every epoch, ckpt-best at the best
-    validation Dice); the returned model carries the best parameters.
-    ``resume`` is what ``checkpoint_load`` returned; resuming steps its model
-    with its ``Adam`` and continues its epoch numbering, reproducing the
-    unbroken trajectory because every stream is re-derived from (seed, epoch).
+    ``out_dir``, when given, is the run directory, named by its last part:
+    once the model exists it gets ``config.echo`` (the config and that run
+    name), and as each epoch ends ``ckpt-last.dbfc``, ``ckpt-best.dbfc`` at
+    the best validation Dice, and ``metrics.csv`` of the history so far, so
+    a run that dies keeps its record.  The returned model carries the best
+    parameters.  ``resume`` is what ``checkpoint_load`` returned; resuming
+    steps its model with its ``Adam`` and continues its epoch numbering,
+    reproducing the unbroken trajectory because every stream is re-derived
+    from (seed, epoch).
     """
     if not train_set or not val_set:
         raise ValueError("fit needs nonempty train and validation sets")
@@ -801,6 +850,7 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        write_config_echo(cfg, out_path.name, out_path / "config.echo")
 
     decay_at = max(1, int(0.8 * cfg.epochs))
     history: list[dict] = []
@@ -833,6 +883,9 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
             if out_path is not None:
                 checkpoint_save(model, out_path / "ckpt-best.dbfc", opt=opt,
                                 epoch=epoch + 1)
+        if out_path is not None:
+            write_csv(out_path / "metrics.csv", list(row),
+                      [list(r.values()) for r in history])
         if progress is not None:
             progress(row)
         if cfg.early_stop_dice > 0.0 and val_dice >= cfg.early_stop_dice:
@@ -847,20 +900,17 @@ def fit(train_set: list[Sample], val_set: list[Sample], cfg: ModelConfig,
 # -- checkpoints ------------------------------------------------------------------------
 
 def _unpack_config(body: Reader) -> ModelConfig:
-    """Read the config block, which must be ``config_text`` of the config it
-    parses to: no key twice, none out of order, every value in its own form."""
+    """Read the config block as a ``--config`` file is read; it must then be
+    ``config_text`` of the config it parses to: no comment or blank line, no
+    key twice, none out of order, every value in its own form."""
     defaults = config_items(ModelConfig())
     text = body.take_str()
-    lines = [line.partition(" = ") for line in text.splitlines()]
-    items = {name: raw for name, _, raw in lines}
-    keys = defaults.keys()
-    unknown, missing = sorted(items.keys() - keys), sorted(keys - items.keys())
-    if unknown or missing:
-        raise FormatError(body.path, "config block does not match this build: "
-                          f"unknown keys {unknown}, missing keys {missing}")
     try:
-        cfg = config_from_items({name: parse_value(defaults[name], raw)
-                                 for name, raw in items.items()})
+        items = read_config_text(text, "line", defaults)
+        missing = sorted(defaults.keys() - items.keys())
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+        cfg = config_from_items(items)
     except ValueError as exc:
         raise FormatError(body.path, f"config block: {exc}") from exc
     written = config_text(config_items(cfg))

@@ -190,14 +190,17 @@ def test_config_file_missing(tmp_path):
 
 
 def test_parse_value_types():
-    assert cli._parse_value("image_size", "48x32") == (48, 32)
-    assert cli._parse_value("ncvi", "false") is False
-    assert cli._parse_value("tau", "0.5") == 0.5
-    assert cli._parse_value("hp.phi_rho", "1e-3") == 1e-3
-    with pytest.raises(cli.ConfigError):
-        cli._parse_value("ncvi", "si")
-    with pytest.raises(cli.ConfigError):
-        cli._parse_value("epochs", "two")
+    def parse(text):
+        return pl.parse_setting(text, "--set", cli._DEFAULTS)
+
+    assert parse("image_size=48x32") == ("image_size", (48, 32))
+    assert parse("ncvi=false") == ("ncvi", False)
+    assert parse("tau=0.5") == ("tau", 0.5)
+    assert parse("hp.phi_rho=1e-3") == ("hp.phi_rho", 1e-3)
+    with pytest.raises(ValueError, match="bad value for 'ncvi'"):
+        parse("ncvi=si")
+    with pytest.raises(ValueError, match="bad value for 'epochs'"):
+        parse("epochs=two")
 
 
 def _other(value):
@@ -216,8 +219,8 @@ def test_every_config_key_round_trips_through_echo(tmp_path):
     defaults = dict(cli._DEFAULTS)
     for cfg in (defaults, {k: _other(v) for k, v in defaults.items()}):
         path = tmp_path / "echo.cfg"
-        cli.write_config_echo(pl.config_from_items(cfg), cfg["run"], path)
-        back = cli.read_config_file(path)
+        pl.write_config_echo(pl.config_from_items(cfg), cfg["run"], path)
+        back = pl.read_config_text(path.read_text(), path, cli._DEFAULTS)
         assert back == cfg
         assert {k: type(v) for k, v in back.items()} == \
             {k: type(v) for k, v in cfg.items()}
@@ -231,10 +234,10 @@ def test_failed_replace_keeps_old_text_file(tmp_path, monkeypatch, kind):
 
     def save(epochs):
         if kind == "csv":
-            cli._write_csv(path, ["epoch", "dice_val"],
-                           [[e, 0.5] for e in range(epochs)])
+            pl.write_csv(path, ["epoch", "dice_val"],
+                         [[e, 0.5] for e in range(epochs)])
         else:
-            cli.write_config_echo(pl.ModelConfig(epochs=epochs), "run", path)
+            pl.write_config_echo(pl.ModelConfig(epochs=epochs), "run", path)
     save(1)
     before = path.read_bytes()
 
@@ -1022,7 +1025,12 @@ def _with_config_block(raw: bytes, edit) -> bytes:
     (lambda b: b.replace("tau = 1.0\n", "tau = 1.0\ntau = 1.0\n"), "tau = 1.0"),
     (lambda b: b.replace("tau = 1.0\n", "tau = 1.00\n"), "tau = 1.00"),
     (lambda b: "tau = 1.0\n" + b.replace("tau = 1.0\n", ""), "tau = 1.0"),
-], ids=["key_twice", "line_twice", "value_form", "out_of_order"])
+    # A --config file may hold these; the block shares its reader, not its slack.
+    (lambda b: b.replace("tau = 1.0\n", "tau = 1.0\n# note\n"), "# note"),
+    (lambda b: b.replace("tau = 1.0\n", "tau = 1.0\n\n"), ""),
+    (lambda b: b.replace("tau = 1.0\n", "tau=1.0\n"), "tau=1.0"),
+], ids=["key_twice", "line_twice", "value_form", "out_of_order",
+        "comment", "blank_line", "no_spaces"])
 def test_config_block_that_is_not_its_configs_text_exits_3(work, tmp_path, capsys,
                                                            edit, line):
     raw = work["ckpt"].read_bytes()[:-4]
@@ -1079,6 +1087,8 @@ def test_train_of_a_model_that_cannot_be_allocated_exits_2(work, tmp_path, capsy
     assert code == 2
     assert ("error: out of memory: Unable to allocate a model of 10000000 "
             "channels") in capsys.readouterr().err
+    # Nothing is written before the model exists, not even config.echo.
+    assert not (tmp_path / "out").exists()
 
 
 def test_checkpoint_whose_model_cannot_be_allocated_exits_3(work, tmp_path, capsys,
@@ -1292,6 +1302,23 @@ def test_usage_errors_exit_2():
     assert cli.main([]) == 2
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["train"]) == 2  # missing required --data
+
+
+def test_library_fit_writes_the_run_record_that_train_writes(work, tmp_path):
+    # The FAST config of the shared run, fit on its held-out split (the last
+    # fifth) into a directory of the same run name.
+    cfg = pl.ModelConfig(image_size=(32, 32), channels=4, flow_layers=1,
+                         flow_hidden=8, flow_kl_samples=16, batch_size=4,
+                         epochs=1)
+    samples = fd.dataset_load(work["a"])
+    run = tmp_path / work["run"].name
+    pl.fit(samples[:-2], samples[-2:], cfg, out_dir=run)
+    names = sorted(p.name for p in run.iterdir())
+    assert names == ["ckpt-best.dbfc", "ckpt-last.dbfc", "config.echo",
+                     "metrics.csv"]
+    for name in names:
+        assert (run / name).read_bytes() == \
+            (work["run"] / name).read_bytes(), name
 
 
 def test_every_ablate_row_matches_standalone_train_and_eval(work, ablated,
